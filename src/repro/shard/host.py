@@ -75,20 +75,35 @@ class GroupEnv(Env):
     def rng(self) -> random.Random:
         return self._env().rng
 
+    def _count_send(self, msg: Any, n: int) -> None:
+        # The world's wire accounting only sees GroupEnvelope, so count the
+        # inner protocol message under the group's own scope
+        # (``proc.<pid>.g<N>.send.<Type>``) for per-group reporting.
+        counter = self._send_instruments.get(type(msg))
+        if counter is None:
+            counter = self._send_instruments[type(msg)] = self.host.groups[
+                self.group
+            ].metrics.counter(f"send.{type(msg).__name__}")
+        counter.inc(n)
+
     def send(self, dst: ProcessId, msg: Any) -> None:
         if dst in self.host.peer_set:
-            # The world's wire accounting only sees GroupEnvelope, so count
-            # the inner protocol message under the group's own scope
-            # (``proc.<pid>.g<N>.send.<Type>``) for per-group reporting.
-            counter = self._send_instruments.get(type(msg))
-            if counter is None:
-                counter = self._send_instruments[type(msg)] = self.host.groups[
-                    self.group
-                ].metrics.counter(f"send.{type(msg).__name__}")
-            counter.inc()
+            self._count_send(msg, 1)
             self._env().send(dst, GroupEnvelope(self.group, msg))
         else:
             self._env().send(dst, msg)  # replies to clients go bare
+
+    def broadcast(self, dsts: Iterable[ProcessId], msg: Any) -> None:
+        # Wrap once, so the world encodes the envelope once for all peers.
+        dsts = tuple(dsts)
+        if not dsts:
+            return
+        if not self.host.peer_set.issuperset(dsts):
+            for dst in dsts:
+                self.send(dst, msg)
+            return
+        self._count_send(msg, len(dsts))
+        self._env().broadcast(dsts, GroupEnvelope(self.group, msg))
 
     def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
         return self._env().set_timer(delay, fn, *args)

@@ -11,10 +11,32 @@ objects run unmodified on:
 
 These exist to demonstrate that the protocol layer is simulator-agnostic;
 all *measurements* come from the simulator, where time is controlled.
+
+The simulator imports only :mod:`repro.transport.codec` (for byte
+accounting), so the runtimes — and with them ``asyncio`` and
+``threading`` — load on first use of their names.
 """
 
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from repro.transport.codec import decode_frames, encode_frame
-from repro.transport.local import LocalRuntime
-from repro.transport.tcp import TcpRuntime
+
+if TYPE_CHECKING:
+    from repro.transport.local import LocalRuntime
+    from repro.transport.tcp import TcpRuntime
+
+_LAZY = {"LocalRuntime": "repro.transport.local", "TcpRuntime": "repro.transport.tcp"}
 
 __all__ = ["LocalRuntime", "TcpRuntime", "decode_frames", "encode_frame"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -15,8 +15,14 @@ from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election import StaticElector
 from repro.errors import ConfigError
+from repro.obs.registry import MetricsRegistry
 from repro.shard.host import GroupHost
+from repro.sim import world as world_module
+from repro.sim.kernel import Kernel
+from repro.sim.process import Process
+from repro.sim.world import World
 from repro.storage import StableStore, StoragePump
+from repro.transport.codec import encoded_size
 from repro.types import RequestKind
 
 
@@ -180,6 +186,77 @@ class TestGroupHost:
         host = self._host()
         host.on_message("c0", object())
         assert host.stats["unknown_messages"] == 1
+
+
+# ------------------------------------------------ one envelope per broadcast
+class TestGroupBroadcast:
+    """Wire accounting is read at send time; the kernel is never run, so
+    no peer answers and the counters hold only the broadcast itself."""
+
+    PEERS = ("r0", "r1", "r2", "r3")
+
+    def _world(self, monkeypatch):
+        registry = MetricsRegistry()
+        world = World(Kernel(seed=0), metrics=registry, measure_bytes=True)
+        cfg = ReplicaConfig(peers=self.PEERS)
+        hosts = {}
+        for pid in self.PEERS:
+            host = GroupHost(pid, cfg, _Service, [StaticElector("r0") for _ in range(2)])
+            for g, group in host.groups.items():
+                group.metrics = registry.scope(f"{pid}.g{g}")
+            hosts[pid] = world.add(host)
+        world.add(Process("c0"))
+        encodes = []
+
+        def counting_encoded_size(msg):
+            encodes.append(type(msg).__name__)
+            return encoded_size(msg)
+
+        monkeypatch.setattr(world_module, "encoded_size", counting_encoded_size)
+        return registry, hosts, encodes
+
+    @staticmethod
+    def _prepare() -> Prepare:
+        return Prepare(ballot=Ballot(1, "r0"), gaps=(), from_instance=0)
+
+    @staticmethod
+    def _wire_counters(registry) -> dict[str, int]:
+        return {
+            name: value
+            for name, value in registry.counters().items()
+            if "GroupEnvelope" in name or ".g1.send." in name
+        }
+
+    def test_broadcast_to_peers_encodes_once_and_counts_like_sends(self, monkeypatch):
+        dsts = ("r1", "r2", "r3")
+        registry, hosts, encodes = self._world(monkeypatch)
+        hosts["r0"].groups[1].broadcast(dsts, self._prepare())
+        assert encodes == ["GroupEnvelope"]
+        broadcast = self._wire_counters(registry)
+
+        registry, hosts, encodes = self._world(monkeypatch)
+        for dst in dsts:
+            hosts["r0"].groups[1].send(dst, self._prepare())
+        assert encodes == ["GroupEnvelope"] * 3
+        assert self._wire_counters(registry) == broadcast
+        assert broadcast["msg.send.GroupEnvelope"] == 3
+        assert broadcast["proc.r0.g1.send.Prepare"] == 3
+        assert broadcast["msg.send_bytes.GroupEnvelope"] > 0
+
+    def test_broadcast_with_a_non_peer_falls_back_to_sends(self, monkeypatch):
+        registry, hosts, encodes = self._world(monkeypatch)
+        hosts["r0"].groups[1].broadcast(iter(("r1", "c0")), self._prepare())
+        counters = registry.counters()
+        assert counters["msg.send.GroupEnvelope"] == 1
+        assert counters["msg.send.Prepare"] == 1  # the client's copy goes bare
+        assert counters["proc.r0.g1.send.Prepare"] == 1
+        assert sorted(encodes) == ["GroupEnvelope", "Prepare"]
+
+    def test_empty_broadcast_records_nothing(self, monkeypatch):
+        registry, hosts, encodes = self._world(monkeypatch)
+        hosts["r0"].groups[1].broadcast((), self._prepare())
+        assert encodes == []
+        assert self._wire_counters(registry) == {}
 
 
 # ------------------------------------------- two groups, one shared platter
