@@ -15,11 +15,11 @@ from benchmarks._util import emit
 from repro.analysis.queueing import sysnet_model
 from repro.client.openloop import OpenLoopClient
 from repro.core.config import ReplicaConfig
-from repro.core.replica import Replica
 from repro.election.static import StaticElector
 from repro.net.network import SimNetwork
 from repro.net.profiles import sysnet
 from repro.services.noop import NoopService
+from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.world import World
 from repro.types import RequestKind
@@ -38,7 +38,7 @@ def run_open_loop(kind: RequestKind, rate: float, seed: int = 3):
     config = ReplicaConfig(peers=PEERS)
     for pid in PEERS:
         world.add(
-            Replica(pid, config, NoopService, StaticElector("r0")),
+            GroupHost(pid, config, NoopService, [StaticElector("r0")]),
             cpu=profile.replica_cpu,
         )
     client = OpenLoopClient(

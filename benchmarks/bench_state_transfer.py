@@ -66,7 +66,7 @@ def run(mode: StateTransferMode, state_size: int):
     cluster.run()
     result = collect(cluster)
     # Average shipped payload size, from the leader's log.
-    leader = cluster.leader()
+    leader = cluster.leader().groups[0]
     sizes = [
         leader.log.chosen_value(i).payload.size_hint()
         for i in range(leader.log.compacted_to + 1, leader.log.frontier + 1)

@@ -67,7 +67,7 @@ def main() -> None:
     print("=== T-Paxos concurrent transfers ===")
     print(f"committed transfers: {committed}  (aborted+retried: {aborted})")
 
-    leader_accounts = cluster.leader().service.accounts
+    leader_accounts = cluster.leader().groups[0].service.accounts
     total = sum(leader_accounts.values())
     print(f"balances: {leader_accounts}")
     print(f"conservation: total = {total} (expected {OPENING_BALANCE * len(ACCOUNTS)})")

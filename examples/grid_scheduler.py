@@ -71,8 +71,8 @@ def replicated_demo() -> None:
     print(f"  dispatch order decided by the leader: {dispatch_order}")
 
     orders = {
-        pid: tuple(replica.service.dispatched)
-        for pid, replica in cluster.replicas.items()
+        pid: tuple(host.groups[0].service.dispatched)
+        for pid, host in cluster.replicas.items()
     }
     assert len(set(orders.values())) == 1
     print(f"  all replicas agree on the schedule: {sorted(orders)}  [ok]")

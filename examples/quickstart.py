@@ -56,9 +56,9 @@ def main() -> None:
     print("every read returned the latest committed write  [ok]")
 
     survivors = {
-        pid: replica
-        for pid, replica in cluster.replicas.items()
-        if replica.alive
+        pid: host.groups[0]
+        for pid, host in cluster.replicas.items()
+        if host.alive
     }
     leader = [pid for pid, r in survivors.items() if r.is_leading]
     print(f"new leader after crash: {leader[0]} (was {cluster.leader_pid})")

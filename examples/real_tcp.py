@@ -18,9 +18,9 @@ import time
 from repro.client.client import Client
 from repro.client.workload import single_kind_steps, txn_steps
 from repro.core.config import ReplicaConfig
-from repro.core.replica import Replica
 from repro.election.static import StaticElector
 from repro.services.kvstore import KVStoreService
+from repro.shard.host import GroupHost
 from repro.transport.tcp import TcpRuntime
 from repro.types import RequestKind
 
@@ -33,7 +33,7 @@ def main() -> None:
     runtime = TcpRuntime()
     replicas = []
     for pid in PEERS:
-        replica = Replica(pid, config, KVStoreService, StaticElector("r0"))
+        replica = GroupHost(pid, config, KVStoreService, [StaticElector("r0")])
         runtime.add(replica)
         replicas.append(replica)
 
@@ -67,7 +67,7 @@ def main() -> None:
         f"{runtime.bytes_sent / 1024:.1f} KiB shipped"
     )
 
-    fingerprints = {r.pid: r.service.state_fingerprint() for r in replicas}
+    fingerprints = {r.pid: r.groups[0].service.state_fingerprint() for r in replicas}
     assert len(set(fingerprints.values())) == 1
     print(f"replica stores identical across {sorted(fingerprints)}  [ok]")
 

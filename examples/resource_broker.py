@@ -46,11 +46,11 @@ def run(mode: StateTransferMode) -> Cluster:
 
 
 def describe(cluster: Cluster) -> None:
-    for pid, replica in sorted(cluster.replicas.items()):
-        placements = replica.service.placements
+    for pid, host in sorted(cluster.replicas.items()):
+        placements = host.groups[0].service.placements
         load = Counter(resource for resource, _demand in placements.values())
         row = "  ".join(f"{node}:{load.get(node, 0):2d}" for node in sorted(
-            cluster.leader().service.resources
+            cluster.leader().groups[0].service.resources
         ))
         print(f"  {pid}: {row}")
 
@@ -74,7 +74,7 @@ def main() -> None:
 
     # The randomized balancing still happened: load is spread.
     load = Counter(
-        resource for resource, _d in nd.leader().service.placements.values()
+        resource for resource, _d in nd.leader().groups[0].service.placements.values()
     )
     print(f"  nodes used by the leader's random placement: {len(load)}/{N_NODES}")
     assert len(load) > 1

@@ -25,8 +25,8 @@ from repro.cluster.harness import Cluster, ClusterSpec
 from repro.cluster.metrics import RunResult, collect
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.config import ReplicaConfig
-from repro.core.multipaxos import MultiPaxosReplica, multipaxos_config
-from repro.core.replica import Replica, ReplicaRole
+from repro.core.group import ReplicaRole
+from repro.core.multipaxos import multipaxos_config
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.omega import OmegaElector
 from repro.election.static import ManualElectorGroup, StaticElector
@@ -34,6 +34,7 @@ from repro.net.profiles import berkeley_princeton, get_profile, sysnet, wan
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import RunExport, export_run, load_export
 from repro.services.base import ExecutionContext, ExecutionResult, Service
+from repro.shard.host import GroupHost
 from repro.types import ReplyStatus, RequestKind, StateTransferMode
 
 __version__ = "1.0.0"
@@ -47,12 +48,11 @@ __all__ = [
     "ExecutionContext",
     "ExecutionResult",
     "FaultSchedule",
+    "GroupHost",
     "ManualElectorGroup",
     "MetricsRegistry",
-    "MultiPaxosReplica",
     "OmegaElector",
     "ProposalNumber",
-    "Replica",
     "ReplicaConfig",
     "ReplicaRole",
     "ReplyStatus",

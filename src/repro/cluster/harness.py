@@ -17,7 +17,7 @@ from repro.client.client import Client
 from repro.client.workload import Step
 from repro.core.config import ReplicaConfig
 from repro.core.messages import StartSignal
-from repro.core.replica import Replica
+from repro.election.base import LeaderElector
 from repro.election.omega import OmegaElector
 from repro.election.static import ManualElectorGroup, StaticElector
 from repro.errors import ConfigError, SimulationError
@@ -74,12 +74,11 @@ class ClusterSpec:
     profile: NetworkProfile
     n_replicas: int = 3
     seed: int = 0
-    #: Replication groups (shards) per process. 1 builds the classic
-    #: standalone :class:`~repro.core.replica.Replica` processes —
-    #: byte-identical to the unsharded simulator. >1 builds
-    #: :class:`~repro.shard.host.GroupHost` processes, each hosting one
-    #: replica of every group on a shared storage pump, with group ``g``'s
-    #: initial leader at replica ``g % n_replicas``.
+    #: Replication groups (shards) per process. Every replica process is a
+    #: :class:`~repro.shard.host.GroupHost` hosting one replica of every
+    #: group on a shared storage pump, with group ``g``'s initial leader at
+    #: replica ``g % n_replicas``. A one-group host is the unsharded
+    #: replica of the paper, byte-identical to the pre-sharding simulator.
     groups: int = 1
     state_mode: StateTransferMode = StateTransferMode.FULL
     xpaxos_reads: bool = True
@@ -241,48 +240,13 @@ class Cluster:
         if spec.connection_scaling:
             replica_cpu = profile.replica_cpu_for(n_clients)
 
-        self.replicas: dict[ProcessId, Replica | GroupHost] = {}
-        if spec.groups == 1:
-            for pid in self.replica_pids:
-                if spec.elector == "static":
-                    elector = StaticElector(self.leader_pid)
-                elif spec.elector == "manual":
-                    assert self.manual_electors is not None
-                    elector = self.manual_electors.elector_for(pid)
-                else:
-                    elector = OmegaElector(
-                        heartbeat_interval=spec.omega_heartbeat,
-                        suspect_timeout=spec.omega_timeout,
-                    )
-                replica = Replica(pid, config, service_factory, elector)
-                replica.metrics = self.metrics.scope(pid)
-                replica.tracer = self.tracer
-                replica.profiler = self.profiler
-                self.world.add(replica, cpu=replica_cpu)
-                self.replicas[pid] = replica
-        else:
-            for pid in self.replica_pids:
-                electors: dict[int, object] = {}
-                for g in range(spec.groups):
-                    if spec.elector == "static":
-                        electors[g] = StaticElector(self.group_leader_pids[g])
-                    elif spec.elector == "manual":
-                        electors[g] = self.manual_electors_by_group[g].elector_for(pid)
-                    else:
-                        electors[g] = OmegaElector(
-                            heartbeat_interval=spec.omega_heartbeat,
-                            suspect_timeout=spec.omega_timeout,
-                        )
-                host = GroupHost(pid, config, service_factory, electors)
-                host.metrics = self.metrics.scope(pid)
-                host.tracer = self.tracer
-                host.profiler = self.profiler
-                for g, group in host.groups.items():
-                    group.metrics = self.metrics.scope(f"{pid}.g{g}")
-                    group.tracer = self.tracer
-                    group.profiler = self.profiler
-                self.world.add(host, cpu=replica_cpu)
-                self.replicas[pid] = host
+        self.replicas: dict[ProcessId, GroupHost] = {}
+        for pid in self.replica_pids:
+            electors = [self._elector(pid, g) for g in range(spec.groups)]
+            host = GroupHost(pid, config, service_factory, electors)
+            host.instrument(self.metrics, self.tracer, self.profiler)
+            self.world.add(host, cpu=replica_cpu)
+            self.replicas[pid] = host
 
         self.clients: list[Client] = []
         for pid, steps in zip(self.client_pids, client_steps, strict=True):
@@ -308,6 +272,17 @@ class Cluster:
 
         self._started = False
 
+    def _elector(self, pid: ProcessId, group: int) -> LeaderElector:
+        spec = self.spec
+        if spec.elector == "static":
+            return StaticElector(self.group_leader_pids[group])
+        if spec.elector == "manual":
+            return self.manual_electors_by_group[group].elector_for(pid)
+        return OmegaElector(
+            heartbeat_interval=spec.omega_heartbeat,
+            suspect_timeout=spec.omega_timeout,
+        )
+
     # ---------------------------------------------------------------- running
     @property
     def leader_pid(self) -> ProcessId:
@@ -315,7 +290,7 @@ class Cluster:
         configuration, where the leader ran at UIUC)."""
         return self.replica_pids[0]
 
-    def leader(self) -> "Replica | GroupHost":
+    def leader(self) -> GroupHost:
         return self.replicas[self.leader_pid]
 
     def manual_electors_for(self, group: int) -> ManualElectorGroup:
@@ -361,16 +336,9 @@ class Cluster:
         ``pid/g<group>``.
         """
         out: dict[ProcessId, object] = {}
-        for pid, r in self.replicas.items():
-            if not r.alive:
-                continue
-            if isinstance(r, GroupHost):
-                for g in sorted(r.groups):
-                    group = r.groups[g]
-                    if group.alive:
-                        out[f"{pid}/g{g}"] = group.service.state_fingerprint()
-            else:
-                out[pid] = r.service.state_fingerprint()
+        for host in self.replicas.values():
+            if host.alive:
+                out.update(host.fingerprints())
         return out
 
     def drain(self, grace: float = 2.0) -> "Cluster":

@@ -16,13 +16,12 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.xpaxos` — the read path (§3.4).
 * :mod:`repro.core.locks`, :mod:`repro.core.tpaxos` — transactions (§3.5).
 * :mod:`repro.core.recovery` — new-leader recovery (§3.3).
-* :mod:`repro.core.replica` — the full service replica.
+* :mod:`repro.core.group` — one replica of one replication group.
 """
 
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.config import ReplicaConfig
 from repro.core.log import AcceptedEntry, ReplicaLog
-from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, ExecutedTable, RequestId
 from repro.core.state import StatePayload
 
@@ -32,7 +31,6 @@ __all__ = [
     "ClientRequest",
     "ExecutedTable",
     "ProposalNumber",
-    "Replica",
     "ReplicaConfig",
     "ReplicaLog",
     "RequestId",

@@ -4,10 +4,9 @@ reads (§3.4), T-Paxos transactions (§3.5) and new-leader recovery.
 
 A :class:`ReplicationGroup` is the unit the paper calls a replica —
 proposer, log, service copy, txn/read coordinators, and elector — keyed
-by a :class:`~repro.types.GroupId`. A classic unsharded process *is* one
-group standing alone (:class:`repro.core.replica.Replica`); a sharded
-process hosts several groups behind one
-:class:`repro.shard.host.GroupHost`, each electing its own leader and
+by a :class:`~repro.types.GroupId`. Every replica process is a
+:class:`repro.shard.host.GroupHost`: the classic unsharded process hosts
+one group, a sharded process several, each electing its own leader and
 running its own log, all sharing the process's stable-storage pump.
 
 Request routing (the §4 experiment semantics):
@@ -125,8 +124,8 @@ class ReplicationGroup(Process):
         config: ReplicaConfig,
         service_factory: Callable[[], Service],
         elector: LeaderElector,
+        pump: StoragePump,
         group: GroupId = 0,
-        pump: StoragePump | None = None,
     ) -> None:
         super().__init__(pid)
         if pid not in config.peers:
@@ -140,7 +139,7 @@ class ReplicationGroup(Process):
         elector.attach(self, config.peers)
 
         # ----- stable state (survives crashes via repro.storage) -----
-        self.store = StableStore(self, pump=pump, group=group)
+        self.store = StableStore(self, pump, group)
         self.store.initialize(self.service.snapshot())
         self.log = self.store.log
         self.promised: Ballot = Ballot.ZERO
@@ -172,22 +171,22 @@ class ReplicationGroup(Process):
         self.stats: Counter[str] = Counter()
 
         #: Observability scope (``proc.<pid>.*``; sharded hosts scope each
-        #: group as ``proc.<pid>.g<group>.*``); the harness swaps in the
-        #: run's registry. Phase-latency bookkeeping below is only populated
+        #: group as ``proc.<pid>.g<group>.*``); the host installs the run's
+        #: registry. Phase-latency bookkeeping below is only populated
         #: while metrics are enabled, so disabled runs allocate nothing.
         self.metrics: Scope = NULL_REGISTRY.scope(pid)
         self._accepted_at: dict[InstanceId, float] = {}
         self._chosen_at: dict[InstanceId, float] = {}
         self._takeover_started: float | None = None
 
-        #: Causal tracer (the harness swaps in the run's tracer). Protocol
+        #: Causal tracer (the host installs the run's tracer). Protocol
         #: code opens spans at semantic points (execute, accept rounds,
         #: recovery); the world's envelope layer handles propagation.
         self.tracer: Tracer | NullTracer = NULL_TRACER
         #: Open leader-takeover span (its own trace; recovery nests under it).
         self.takeover_span: Span | None = None
 
-        #: Sim-profiler (the harness swaps in the run's profiler). Protocol
+        #: Sim-profiler (the host installs the run's profiler). Protocol
         #: code opens literal-label scopes at semantic points (execute,
         #: apply, propose, read, txn); the world's envelope layer owns the
         #: per-message frames. Labels must be literals — OBS002.

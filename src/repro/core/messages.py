@@ -210,8 +210,8 @@ class GroupEnvelope:
     Only used between processes of a sharded (``groups > 1``) cluster: each
     hosted :class:`repro.core.group.ReplicationGroup` wraps its peer-bound
     traffic so the receiving host can dispatch to the right group. Replies
-    to clients travel unwrapped, and single-group clusters never construct
-    envelopes at all — their wire traffic is byte-identical to the
+    to clients travel unwrapped, and a one-group host never constructs
+    envelopes at all — its wire traffic is byte-identical to the
     pre-sharding stack.
     """
 

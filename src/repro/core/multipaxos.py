@@ -7,10 +7,10 @@ executed request." No state is shipped; every replica re-executes.
 
 Rather than duplicating the replica machinery, Multi-Paxos is expressed as
 the :data:`repro.types.StateTransferMode.SMR` mode of the same
-:class:`repro.core.replica.Replica`: proposals carry only the request, and
-:meth:`Replica._apply_proposal` re-executes it at each backup. This module
-provides the convenience constructors (and the documentation anchor) for
-that configuration.
+:class:`repro.core.group.ReplicationGroup`: proposals carry only the
+request, and :meth:`ReplicationGroup._apply_proposal` re-executes it at each
+backup (counted as ``smr.reexecutions``). This module provides the
+configuration constructor (and the documentation anchor) for that mode.
 
 The crucial caveat — and the paper's whole point — is that this baseline
 is **only correct for deterministic services**. The test
@@ -21,13 +21,9 @@ while the nondeterministic protocol keeps them identical.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Any
 
 from repro.core.config import ReplicaConfig
-from repro.core.replica import Replica
-from repro.election.base import LeaderElector
-from repro.services.base import Service
 from repro.types import ProcessId, StateTransferMode
 
 
@@ -40,26 +36,3 @@ def multipaxos_config(peers: tuple[ProcessId, ...], **overrides: Any) -> Replica
     overrides.setdefault("tpaxos", False)  # SMR has no transaction path
     return ReplicaConfig(peers=peers, state_mode=StateTransferMode.SMR, **overrides)
 
-
-class MultiPaxosReplica(Replica):
-    """A replica speaking classic Multi-Paxos (requests only, re-execution).
-
-    Thin sugar over ``Replica(config=multipaxos_config(...))``.
-    """
-
-    def __init__(
-        self,
-        pid: ProcessId,
-        peers: tuple[ProcessId, ...],
-        service_factory: Callable[[], Service],
-        elector: LeaderElector,
-        **overrides: Any,
-    ) -> None:
-        super().__init__(pid, multipaxos_config(peers, **overrides), service_factory, elector)
-
-    @property
-    def reexecutions(self) -> int:
-        """How many chosen requests this backup re-executed locally — SMR's
-        whole cost model, and the count the observability layer also reports
-        as the ``smr.reexecutions`` counter."""
-        return self.stats["smr_reexecutions"]

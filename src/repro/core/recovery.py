@@ -39,7 +39,7 @@ from repro.errors import ProtocolError
 from repro.types import InstanceId, ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import Replica
+    from repro.core.group import ReplicationGroup
 
 
 @dataclass(slots=True)
@@ -64,7 +64,7 @@ class _AcceptRound:
 class RecoveryCoordinator:
     """Drives the prepare + accept rounds a new leader runs before serving."""
 
-    def __init__(self, replica: "Replica") -> None:
+    def __init__(self, replica: "ReplicationGroup") -> None:
         self.replica = replica
         self._prepare: _PrepareRound | None = None
         self._accept: _AcceptRound | None = None

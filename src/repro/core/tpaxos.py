@@ -36,7 +36,7 @@ from repro.services.base import ExecutionResult
 from repro.types import InstanceId, ProcessId, ReplyStatus, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import Replica
+    from repro.core.group import ReplicationGroup
 
 
 class TxnPhase(enum.Enum):
@@ -66,7 +66,7 @@ class TxnManager:
     """Leader-side transaction bookkeeping. Volatile: a leader switch
     aborts every active transaction (§3.6)."""
 
-    def __init__(self, replica: "Replica") -> None:
+    def __init__(self, replica: "ReplicationGroup") -> None:
         self.replica = replica
         self.active: dict[str, ActiveTxn] = {}
         #: Statistics.

@@ -47,7 +47,7 @@ def layer_of(rel_path: str) -> str | None:
     """The architectural layer a file belongs to.
 
     The layer is the path segment directly below the ``repro`` package
-    directory (``src/repro/core/replica.py`` -> ``core``). Trees that do
+    directory (``src/repro/core/group.py`` -> ``core``). Trees that do
     not contain a ``repro`` segment (test fixtures) fall back to the first
     directory under the scan root, so fixture layouts like
     ``<tmp>/core/mod.py`` classify the same way.

@@ -1,13 +1,13 @@
 """Module-qualified call graph over the project index.
 
-Nodes are dotted function names (``repro.core.replica.Replica.choose``);
+Nodes are dotted function names (``repro.core.group.ReplicationGroup.choose``);
 edges carry the call-site line so witness paths point at real source
 locations. Resolution is deliberately conservative — an edge exists only
 when the callee can be named with confidence:
 
 * plain names, through the file's import table and module-level defs;
 * ``self.method()`` / ``cls.method()``, through the enclosing class and
-  its resolved base-class chain (so ``Replica.send`` finds
+  its resolved base-class chain (so ``ReplicationGroup.send`` finds
   ``sim.process.Process.send``);
 * ``self.attr.method()``, through the ``self.attr = Ctor(...)`` wiring
   recorded in the class facts (``self.recovery.on_promise`` resolves to

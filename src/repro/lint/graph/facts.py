@@ -48,7 +48,7 @@ ENV_CALLS = frozenset({"os.getenv", "os.environ.get", "os.environb.get"})
 def module_of(rel: str) -> str:
     """Dotted module name of a file, relative to the scan root.
 
-    ``repro/core/replica.py`` -> ``repro.core.replica``;
+    ``repro/core/group.py`` -> ``repro.core.group``;
     ``pkg/__init__.py`` -> ``pkg``.
     """
     parts = list(PurePosixPath(rel).parts)

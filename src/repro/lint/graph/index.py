@@ -131,7 +131,7 @@ class ProjectIndex:
 
     # -------------------------------------------------------------- lookups
     def function(self, dotted: str) -> tuple[FileFacts, FunctionFacts] | None:
-        """``repro.core.replica.Replica._on_prepare`` -> its facts pair."""
+        """``repro.core.group.ReplicationGroup._on_prepare`` -> its facts pair."""
         module, _sep, qualname = dotted.rpartition(".")
         # Method: module.Class.method — the module is one segment shorter.
         facts = self.modules.get(module)

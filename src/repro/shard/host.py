@@ -1,22 +1,27 @@
-"""The sharded process: one replica of every replication group.
+"""The replica process: one replica of every replication group.
 
 A :class:`GroupHost` is the unit the world registers, crashes and
-recovers. Inside it live N :class:`repro.core.group.ReplicationGroup`
+recovers — every replica process of a cluster is one, whatever the group
+count. Inside it live N :class:`repro.core.group.ReplicationGroup`
 instances — one replica of each shard — all sharing the process's
 :class:`repro.storage.store.StoragePump` (one simulated platter, one
 fsync clock, one crash) and the process's network identity.
 
-Wire format: traffic *between replica processes* travels wrapped in
-:class:`repro.core.messages.GroupEnvelope` so the receiving host knows
-which of its groups the Prepare/Accept/heartbeat belongs to. Traffic to
-clients (Replies) goes bare — clients are group-oblivious and unchanged.
-Bare :class:`~repro.core.requests.ClientRequest` broadcasts arriving from
-clients are routed host-side through the deterministic
-:class:`~repro.shard.router.ShardRouter`: every host hands the request to
-the same group, and that group's leader answers. Single-group clusters
-never construct a :class:`GroupHost` at all (the harness builds classic
-standalone :class:`~repro.core.replica.Replica` processes), which is what
-keeps ``groups=1`` byte-identical to the unsharded simulator.
+Wire format: with several groups, traffic *between replica processes*
+travels wrapped in :class:`repro.core.messages.GroupEnvelope` so the
+receiving host knows which of its groups the Prepare/Accept/heartbeat
+belongs to. Traffic to clients (Replies) goes bare — clients are
+group-oblivious and unchanged. Bare :class:`~repro.core.requests.ClientRequest`
+broadcasts arriving from clients are routed host-side through the
+deterministic :class:`~repro.shard.router.ShardRouter`: every host hands
+the request to the same group, and that group's leader answers.
+
+A host with one group is the paper's single-log replica (§3.1): the group
+owns the process outright, so it talks to the world bare (no envelope, no
+routing), records its counters under ``proc.<pid>.*`` and reports its
+fingerprint under ``pid``. That is what keeps ``groups=1`` byte-identical
+to the unsharded simulator, and it is decided here, from the group count
+alone.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.core.requests import ClientRequest
 from repro.election.base import LeaderElector
 from repro.errors import ConfigError
 from repro.obs.prof.profiler import NULL_PROFILER, NullProfiler, SimProfiler
-from repro.obs.registry import NULL_REGISTRY, Scope
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, Scope
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.services.base import Service
 from repro.shard.router import ShardRouter
@@ -134,16 +139,15 @@ class GroupHost(Process):
         self.peer_set = frozenset(config.peers)
         self.router = ShardRouter(n_groups)
         self.stats: Counter[str] = Counter()
-        #: Observability hooks; the harness swaps in the run's instances
-        #: (the pump and every group read them through ``host``).
+        #: Observability hooks; the harness installs the run's instances
+        #: with :meth:`instrument` (the pump and every group read them).
         self.metrics: Scope = NULL_REGISTRY.scope(pid)
         self.tracer: Tracer | NullTracer = NULL_TRACER
         self.profiler: SimProfiler | NullProfiler = NULL_PROFILER
         #: One durable substrate for the whole process.
         self.pump = StoragePump(self)
-        self.groups: dict[GroupId, ReplicationGroup] = {}
-        for group_id in range(n_groups):
-            group = ReplicationGroup(
+        self.groups: dict[GroupId, ReplicationGroup] = {
+            group_id: ReplicationGroup(
                 pid,
                 config,
                 service_factory,
@@ -151,14 +155,46 @@ class GroupHost(Process):
                 group=group_id,
                 pump=self.pump,
             )
-            group.bind(GroupEnv(self, group_id))
-            self.groups[group_id] = group
+            for group_id in range(n_groups)
+        }
 
     @property
     def store(self) -> StoragePump:
         """The process's storage substrate, under the name fault schedules
-        and chaos mutations already use (``replica.store.inject_*``)."""
+        use (``replica.store.inject_*``)."""
         return self.pump
+
+    def bind(self, env: Env) -> None:
+        super().bind(env)
+        if len(self.groups) == 1:
+            # A lone group owns the process's wire: it sends bare, and the
+            # world counts its sends under ``proc.<pid>``.
+            self.groups[0].bind(env)
+            return
+        for group_id, group in self.groups.items():
+            group.bind(GroupEnv(self, group_id))
+
+    def instrument(
+        self,
+        registry: MetricsRegistry,
+        tracer: Tracer | NullTracer,
+        profiler: SimProfiler | NullProfiler,
+    ) -> None:
+        """Install the run's observability on the host and every group.
+
+        Several groups each record under ``proc.<pid>.g<N>``; a lone group
+        records under the process's own ``proc.<pid>`` scope.
+        """
+        self.metrics = registry.scope(self.pid)
+        self.tracer = tracer
+        self.profiler = profiler
+        sharded = len(self.groups) > 1
+        for group_id, group in self.groups.items():
+            group.metrics = (
+                registry.scope(f"{self.pid}.g{group_id}") if sharded else self.metrics
+            )
+            group.tracer = tracer
+            group.profiler = profiler
 
     # ------------------------------------------------------------- lifecycle
     def on_start(self) -> None:
@@ -185,19 +221,22 @@ class GroupHost(Process):
 
     # --------------------------------------------------------------- routing
     def on_message(self, src: ProcessId, msg: Any) -> None:
-        if type(msg) is GroupEnvelope:
-            group = self.groups.get(msg.group)
+        groups = self.groups
+        if len(groups) == 1:
+            group = groups[0]  # peers and clients alike talk to it bare
+        elif type(msg) is GroupEnvelope:
+            group = groups.get(msg.group)
             if group is None or not group.alive:
                 self.stats["dropped_group_messages"] += 1
                 return
-            group.on_message(src, msg.msg)
+            msg = msg.msg
+        elif type(msg) is ClientRequest:
+            group = groups[self.router.group_for_request(msg)]
+        else:
+            self.stats["unknown_messages"] += 1
             return
-        if type(msg) is ClientRequest:
-            group = self.groups[self.router.group_for_request(msg)]
-            if group.alive:
-                group.on_message(src, msg)
-            return
-        self.stats["unknown_messages"] += 1
+        if group.alive:
+            group.on_message(src, msg)
 
     # --------------------------------------------------------------- queries
     def invariant_snapshots(self) -> list[dict[str, Any]]:
@@ -207,6 +246,17 @@ class GroupHost(Process):
             self.groups[group_id].invariant_snapshot()
             for group_id in sorted(self.groups)
         ]
+
+    def fingerprints(self) -> dict[str, object]:
+        """Service-state digest of every alive group, keyed ``pid/g<N>``
+        (a lone group's key is the bare ``pid``)."""
+        out: dict[str, object] = {}
+        for group_id in sorted(self.groups):
+            group = self.groups[group_id]
+            if group.alive:
+                key = self.pid if len(self.groups) == 1 else f"{self.pid}/g{group_id}"
+                out[key] = group.service.state_fingerprint()
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "crashed"

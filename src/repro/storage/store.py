@@ -7,10 +7,10 @@ round, checkpoints, and snapshot installs. It owns the volatile
 :class:`repro.core.log.ReplicaLog` (the working view) for one replication
 group, and writes through a :class:`StoragePump` — the per-*process*
 durability substrate: one :class:`repro.storage.device.SimDisk`, one
-fsync pump, one crash/replay cycle. A standalone replica creates its own
-pump; a sharded process (:class:`repro.shard.host.GroupHost`) hands every
-hosted group's store the same pump, so all groups share one WAL, one
-group-commit clock, and one crash.
+fsync pump, one crash/replay cycle. The replica process
+(:class:`repro.shard.host.GroupHost`) owns the pump and hands every hosted
+group's store the same one, so all groups share one WAL, one group-commit
+clock, and one crash.
 
 Three fsync modes (``ReplicaConfig.fsync_mode``):
 
@@ -59,6 +59,7 @@ from repro.types import GroupId, InstanceId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group import ReplicationGroup
+    from repro.shard.host import GroupHost
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,14 +76,12 @@ class RecoveredState:
 class StoragePump:
     """Per-process durable substrate: one device, one fsync pump.
 
-    ``host`` is the world-registered process (the replica itself for a
-    standalone store, the :class:`~repro.shard.host.GroupHost` for a
-    sharded one): its timers die with the process epoch, its config sets
-    the fsync mode and latencies, and its tracer/profiler account the
-    modeled device time.
+    ``host`` is the world-registered :class:`~repro.shard.host.GroupHost`:
+    its timers die with the process epoch, its config sets the fsync mode
+    and latencies, and its tracer/profiler account the modeled device time.
     """
 
-    def __init__(self, host: Any) -> None:
+    def __init__(self, host: "GroupHost") -> None:
         self.host = host
         config = host.config
         self.mode = config.fsync_mode
@@ -261,21 +260,20 @@ class StoragePump:
 class StableStore:
     """Stable storage for one replication group: WAL view + checkpoints.
 
-    ``pump`` is the per-process substrate; omit it for a standalone
-    replica (the store then creates and owns its own). ``group``
-    namespaces this store's WAL records and checkpoints on the shared
-    device.
+    ``pump`` is the per-process substrate, shared by every group the
+    process hosts; ``group`` namespaces this store's WAL records and
+    checkpoints on the shared device.
     """
 
     def __init__(
         self,
         host: "ReplicationGroup",
-        pump: StoragePump | None = None,
+        pump: StoragePump,
         group: GroupId = 0,
     ) -> None:
         self.host = host
         self.group = group
-        self.pump = pump if pump is not None else StoragePump(host)
+        self.pump = pump
         self.mode = self.pump.mode
         self.write_through = self.pump.write_through
         self.log = ReplicaLog()

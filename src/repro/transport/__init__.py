@@ -1,7 +1,7 @@
 """Real (non-simulated) runtimes for the protocol stack.
 
 The protocol code is written against :class:`repro.sim.process.Env`, so the
-same :class:`repro.core.replica.Replica` and :class:`repro.client.Client`
+same :class:`repro.shard.host.GroupHost` and :class:`repro.client.Client`
 objects run unmodified on:
 
 * :class:`repro.transport.local.LocalRuntime` — wall-clock time, a

@@ -54,12 +54,13 @@ class TestWrites:
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
         # All 40 writes landed.
-        assert len(cluster.leader().service.data) == 40
+        assert len(cluster.leader().groups[0].service.data) == 40
 
     def test_log_instances_are_gapless(self):
         cluster = build_cluster([single_kind_steps(RequestKind.WRITE, 25)]).run()
         cluster.drain()
-        for replica in cluster.replicas.values():
+        for host in cluster.replicas.values():
+            replica = host.groups[0]
             assert replica.log.gaps() == ()
             assert replica.applied == replica.log.frontier
 
@@ -69,7 +70,8 @@ class TestWrites:
         ).run()
         cluster.drain()
         sequences = []
-        for replica in cluster.replicas.values():
+        for host in cluster.replicas.values():
+            replica = host.groups[0]
             top = replica.log.frontier
             seq = [
                 replica.log.chosen_value(i).primary_rid
@@ -88,7 +90,7 @@ class TestWrites:
         assert record.status is ReplyStatus.ERROR
         cluster.drain()
         # Nothing was committed for the failed request.
-        assert all(r.log.frontier == 0 for r in cluster.replicas.values())
+        assert all(r.groups[0].log.frontier == 0 for r in cluster.replicas.values())
 
 
 class TestRetransmitDedup:
@@ -103,7 +105,7 @@ class TestRetransmitDedup:
         client = cluster.clients[0]
         assert sum(r.retransmits for r in client.request_records()) > 0
         # At-most-once: the version counter saw exactly 10 increments.
-        assert cluster.leader().service.version == 10
+        assert cluster.leader().groups[0].service.version == 10
         assert [r.value for r in client.request_records()] == list(range(1, 11))
 
     def test_duplicate_delivery_by_network(self):
@@ -136,7 +138,7 @@ class TestRetransmitDedup:
 
         cluster = Cluster(ClusterSpec(profile=profile, seed=1), [sks(RequestKind.WRITE, 10)])
         cluster.run()
-        assert cluster.leader().service.version == 10
+        assert cluster.leader().groups[0].service.version == 10
 
 
 class TestBackupBehaviour:
@@ -165,7 +167,9 @@ class TestBackupBehaviour:
             [single_kind_steps(RequestKind.ORIGINAL, 5, op=("write",))]
         ).run()
         cluster.drain()
-        leader = cluster.leader()
-        backups = [r for pid, r in cluster.replicas.items() if pid != cluster.leader_pid]
+        leader = cluster.leader().groups[0]
+        backups = [
+            r.groups[0] for pid, r in cluster.replicas.items() if pid != cluster.leader_pid
+        ]
         assert leader.service.version == 5
         assert all(b.service.version == 0 for b in backups)

@@ -1,7 +1,7 @@
 """The linter's acceptance test is the repo itself.
 
 * the shipped ``src/`` tree is clean (under the shipped, empty baseline);
-* seeding a DET001 violation into a copy of ``core/replica.py`` turns the
+* seeding a DET001 violation into a copy of ``core/group.py`` turns the
   scan red and the report names the rule, file and line;
 * seeding a two-hop ambient leak trips the whole-program DET101 with the
   full witness chain, and a typo'd ``Promise`` field trips MSG101;
@@ -53,11 +53,11 @@ class TestSeededViolation:
     @pytest.fixture
     def tainted_tree(self, tmp_path):
         """A copy of the real core/ with a wall-clock read spliced into
-        replica.py — the exact leak DET001 exists to catch."""
+        group.py — the exact leak DET001 exists to catch."""
         tree = tmp_path / "repro" / "core"
         tree.parent.mkdir()
         shutil.copytree(SRC / "repro" / "core", tree)
-        target = tree / "replica.py"
+        target = tree / "group.py"
         source = target.read_text(encoding="utf-8")
         source += (
             "\n\nimport time\n\n\n"
@@ -75,12 +75,12 @@ class TestSeededViolation:
         assert main(["lint", str(root)]) == 1
         out = capsys.readouterr().out
         assert "DET001" in out
-        assert f"repro/core/replica.py:{line}" in out
+        assert f"repro/core/group.py:{line}" in out
         assert "time.time" in out
 
     def test_seeded_violation_is_suppressible_with_reason(self, tainted_tree, capsys):
         root, _ = tainted_tree
-        target = root / "repro" / "core" / "replica.py"
+        target = root / "repro" / "core" / "group.py"
         source = target.read_text(encoding="utf-8").replace(
             "return time.time()",
             "return time.time()  # lint: ignore[DET001] -- test fixture",
@@ -107,8 +107,8 @@ class TestSeededProjectViolations:
     def test_two_hop_ambient_leak_trips_det101_with_full_path(
         self, core_copy, capsys
     ):
-        # A helper package two call hops away from replica.py reads the
-        # wall clock; replica.py itself never mentions ``time``.
+        # A helper package two call hops away from group.py reads the
+        # wall clock; group.py itself never mentions ``time``.
         util = core_copy / "repro" / "util"
         util.mkdir()
         (util / "leak.py").write_text(
@@ -119,7 +119,7 @@ class TestSeededProjectViolations:
             "    return (x, time.time())\n",
             encoding="utf-8",
         )
-        target = core_copy / "repro" / "core" / "replica.py"
+        target = core_copy / "repro" / "core" / "group.py"
         source = target.read_text(encoding="utf-8")
         source += (
             "\n\nfrom repro.util.leak import leak_helper\n\n\n"
@@ -130,9 +130,9 @@ class TestSeededProjectViolations:
         assert main(["lint", str(core_copy), "--select", "DET101"]) == 1
         out = capsys.readouterr().out
         assert "DET101" in out
-        assert "repro/core/replica.py" in out
+        assert "repro/core/group.py" in out
         # The witness names every hop of the chain, ending at the clock.
-        assert "repro.core.replica._leaky_entry" in out
+        assert "repro.core.group._leaky_entry" in out
         assert "repro.util.leak.leak_helper" in out
         assert "repro.util.leak._stamp" in out
         assert "time.time" in out
@@ -140,7 +140,7 @@ class TestSeededProjectViolations:
     def test_promise_field_typo_trips_msg101_with_file_line(
         self, core_copy, capsys
     ):
-        target = core_copy / "repro" / "core" / "replica.py"
+        target = core_copy / "repro" / "core" / "group.py"
         source = target.read_text(encoding="utf-8")
         source += (
             "\n\ndef _peek_promise(msg: Promise) -> int:\n"
@@ -151,7 +151,7 @@ class TestSeededProjectViolations:
         assert main(["lint", str(core_copy), "--select", "MSG101"]) == 1
         out = capsys.readouterr().out
         assert "MSG101" in out
-        assert f"repro/core/replica.py:{line}" in out
+        assert f"repro/core/group.py:{line}" in out
         assert "balot" in out
 
 
@@ -175,7 +175,7 @@ class TestIndexCache:
         assert f"reindexed 0/{total}" in warm.err
 
         # Touching one file re-indexes exactly that file...
-        target = tree / "core" / "replica.py"
+        target = tree / "core" / "group.py"
         target.write_text(
             target.read_text(encoding="utf-8") + "\n# touched\n",
             encoding="utf-8",
@@ -183,7 +183,7 @@ class TestIndexCache:
         assert main(argv) == 0
         touched = capsys.readouterr()
         assert f"reindexed 1/{total}" in touched.err
-        assert "repro/core/replica.py" in touched.err
+        assert "repro/core/group.py" in touched.err
         # ...and the report is still byte-identical to a cold scan.
         cache.unlink()
         assert main(argv) == 0

@@ -80,7 +80,7 @@ class TestNondeterministicProtocol:
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
         # And the leader actually used randomness: tasks spread over nodes.
-        placements = cluster.leader().service.placements
+        placements = cluster.leader().groups[0].service.placements
         assert len({resource for resource, _d in placements.values()}) > 1
 
     def test_grid_scheduler_converges(self):
@@ -103,7 +103,7 @@ class TestNondeterministicProtocol:
         ).run()
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
-        dispatched = cluster.leader().service.dispatched
+        dispatched = cluster.leader().groups[0].service.dispatched
         assert len(dispatched) == 5
 
     def test_broker_converges_across_leader_switch(self):

@@ -31,8 +31,8 @@ def run(metrics: bool, trace: bool, steps_factory, seed: int = 7) -> Cluster:
 def chosen_log_bytes(cluster: Cluster) -> dict[str, bytes]:
     """A byte-exact digest of every replica's chosen sequence."""
     return {
-        pid: pickle.dumps(replica.log.chosen_above(0))
-        for pid, replica in cluster.replicas.items()
+        pid: pickle.dumps(host.groups[0].log.chosen_above(0))
+        for pid, host in cluster.replicas.items()
     }
 
 
@@ -79,8 +79,8 @@ class TestMetricsCannotPerturbTheRun:
         assert instrumented.kernel.now == bare.kernel.now
         for pid in instrumented.replicas:
             assert (
-                instrumented.replicas[pid].service.state_fingerprint()
-                == bare.replicas[pid].service.state_fingerprint()
+                instrumented.replicas[pid].groups[0].service.state_fingerprint()
+                == bare.replicas[pid].groups[0].service.state_fingerprint()
             )
 
     def test_metrics_off_skips_registry(self):

@@ -35,8 +35,8 @@ def run(profiling: bool, steps_factory, seed: int = 7,
 def chosen_log_bytes(cluster: Cluster) -> dict[str, bytes]:
     """A byte-exact digest of every replica's chosen sequence."""
     return {
-        pid: pickle.dumps(replica.log.chosen_above(0))
-        for pid, replica in cluster.replicas.items()
+        pid: pickle.dumps(host.groups[0].log.chosen_above(0))
+        for pid, host in cluster.replicas.items()
     }
 
 

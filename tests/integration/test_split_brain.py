@@ -7,7 +7,7 @@ import pytest
 
 from repro.client.workload import single_kind_steps
 from repro.cluster.faults import FaultSchedule
-from repro.core.replica import ReplicaRole
+from repro.core.group import ReplicaRole
 from repro.services.counter import CounterService
 from repro.services.kvstore import KVStoreService
 from repro.types import RequestKind
@@ -30,7 +30,7 @@ class TestMinorityLeader:
         schedule.partition([["r0"], ["r1", "r2"]], at=0.001)
         cluster.start()
         cluster.kernel.run(until=1.0)
-        r0 = cluster.replicas["r0"]
+        r0 = cluster.replicas["r0"].groups[0]
         assert r0.log.frontier == 0
         assert cluster.clients[0].completed_requests == 0
 
@@ -46,7 +46,7 @@ class TestMinorityLeader:
             )
         cluster.run(max_time=60.0)
         assert cluster.clients[0].completed_requests == 20
-        assert cluster.replicas["r1"].role is ReplicaRole.LEADING
+        assert cluster.replicas["r1"].groups[0].role is ReplicaRole.LEADING
 
     def test_heal_deposes_old_leader_without_divergence(self):
         cluster = self.build()
@@ -63,8 +63,8 @@ class TestMinorityLeader:
         )
         cluster.run(max_time=60.0)
         cluster.drain(3.0)
-        assert cluster.replicas["r0"].role is ReplicaRole.FOLLOWER
-        values = {r.service.value for r in cluster.replicas.values()}
+        assert cluster.replicas["r0"].groups[0].role is ReplicaRole.FOLLOWER
+        values = {r.groups[0].service.value for r in cluster.replicas.values()}
         assert values == {20}
 
     def test_old_leader_nacked_if_it_retries_after_heal(self):
@@ -80,11 +80,11 @@ class TestMinorityLeader:
         schedule.heal(at=0.3)
         cluster.run(max_time=60.0)
         cluster.drain(3.0)
-        r0 = cluster.replicas["r0"]
+        r0 = cluster.replicas["r0"].groups[0]
         # r0 retried leadership across the heal and got preempted at least
         # once (its elector never changed its mind), or is still harmlessly
         # recovering with stale ballots; either way nothing diverged.
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.groups[0].service.value for r in cluster.replicas.values()}
         assert values == {20}
         assert r0.applied == 20  # it caught up as an acceptor
 
@@ -99,5 +99,5 @@ class TestMinorityLeader:
         cluster.start()
         cluster.kernel.run(until=1.0)
         # No confirms can reach r0: zero reads served.
-        assert cluster.replicas["r0"].reads.served == 0
+        assert cluster.replicas["r0"].groups[0].reads.served == 0
         assert cluster.clients[0].completed_requests == 0

@@ -97,8 +97,8 @@ class TestCrashRestartReplay:
         assert cluster.clients[0].completed_requests == 30
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
-        restarted = cluster.replicas["r1"]
-        peer = cluster.replicas["r2"]
+        restarted = cluster.replicas["r1"].groups[0]
+        peer = cluster.replicas["r2"].groups[0]
         assert restarted.alive
         assert restarted.stats["recovers"] >= 1
         peer_chosen = dict(peer.log.chosen_items())
@@ -118,7 +118,7 @@ class TestCrashRestartReplay:
         cluster.run(max_time=60.0)
         cluster.drain(1.0)  # the workload may finish before the recover fires
         assert storage_counter(cluster, "replays") >= 1
-        assert cluster.replicas["r1"].alive
+        assert cluster.replicas["r1"].groups[0].alive
         assert len(set(converged_fingerprints(cluster).values())) == 1
 
 
@@ -135,7 +135,7 @@ class TestStorageNemeses:
         cluster.drain(1.0)
         counters = cluster.metrics.counters()
         assert counters["fault.torn_write"] == 1
-        assert cluster.replicas["r1"].alive  # torn tails are survivable
+        assert cluster.replicas["r1"].groups[0].alive  # torn tails are survivable
         assert cluster.clients[0].completed_requests == 25
         assert len(set(converged_fingerprints(cluster).values())) == 1
 
@@ -149,7 +149,7 @@ class TestStorageNemeses:
         schedule.crash("r1", at=0.03).recover("r1", at=0.3)
         cluster.run(max_time=60.0)
         cluster.drain(1.0)
-        restarted = cluster.replicas["r1"]
+        restarted = cluster.replicas["r1"].groups[0]
         assert not restarted.alive  # rejoining would be Byzantine
         assert restarted.stats["storage_failstops"] == 1
         assert not restarted.store.intact
@@ -168,7 +168,7 @@ class TestStorageNemeses:
         schedule.crash("r1", at=0.06).recover("r1", at=0.3)
         cluster.run(max_time=60.0)
         cluster.drain(1.0)
-        restarted = cluster.replicas["r1"]
+        restarted = cluster.replicas["r1"].groups[0]
         assert not restarted.alive
         assert restarted.stats["storage_failstops"] == 1
         assert cluster.clients[0].completed_requests == 25
@@ -215,7 +215,7 @@ class TestCrashMidCatchUp:
         schedule.crash("r1", at=0.352).recover("r1", at=0.5)
         cluster.run(max_time=60.0)  # a ProtocolError here fails the test
         cluster.drain(2.0)  # fire the restarts and let catch-up finish
-        assert cluster.replicas["r1"].alive
-        assert cluster.replicas["r1"].stats["recovers"] >= 2
+        assert cluster.replicas["r1"].groups[0].alive
+        assert cluster.replicas["r1"].groups[0].stats["recovers"] >= 2
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1

@@ -54,7 +54,7 @@ class TestCommit:
         ).run()
         cluster.drain()
         # 4 transactions -> 4 instances, regardless of 5 ops each.
-        assert cluster.leader().log.frontier == 4
+        assert cluster.leader().groups[0].log.frontier == 4
 
     def test_commit_reply_ok(self):
         cluster = build_cluster([paper_txn_steps("optimized", 3, 5)]).run()
@@ -86,8 +86,8 @@ class TestAbort:
         cluster = build_cluster([steps], service_factory=bank_factory).run()
         cluster.drain()
         # Nothing replicated, leader rolled back.
-        assert cluster.leader().service.accounts["alice"] == 100
-        assert all(r.log.frontier == 0 for r in cluster.replicas.values())
+        assert cluster.leader().groups[0].service.accounts["alice"] == 100
+        assert all(r.groups[0].log.frontier == 0 for r in cluster.replicas.values())
 
     def test_lock_conflict_aborts_younger_txn(self):
         # Two clients transact on the same account: no-wait 2PL aborts one.
@@ -139,7 +139,7 @@ class TestAbort:
         )
         cluster = build_cluster([[t1], [t2]], service_factory=KVStoreService).run()
         cluster.drain()
-        data = cluster.leader().service.data
+        data = cluster.leader().groups[0].service.data
         # Whichever txn won the race on "x", the final state contains no
         # torn mixture: either T1 committed fully, or it aborted fully.
         if "x" in data:

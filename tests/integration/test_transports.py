@@ -8,11 +8,11 @@ import pytest
 from repro.client.client import Client
 from repro.client.workload import paper_txn_steps, single_kind_steps
 from repro.core.config import ReplicaConfig
-from repro.core.replica import Replica
 from repro.election.static import StaticElector
 from repro.net.latency import ConstantLatency
 from repro.services.kvstore import KVStoreService
 from repro.services.noop import NoopService
+from repro.shard.host import GroupHost
 from repro.transport.local import LocalRuntime
 from repro.transport.tcp import TcpRuntime
 from repro.types import ReplyStatus, RequestKind
@@ -23,7 +23,7 @@ PEERS = ("r0", "r1", "r2")
 def build_processes(steps, service_factory=NoopService, timeout=0.5):
     config = ReplicaConfig(peers=PEERS, accept_retry=0.2, prepare_retry=0.1)
     replicas = [
-        Replica(pid, config, service_factory, StaticElector("r0")) for pid in PEERS
+        GroupHost(pid, config, service_factory, [StaticElector("r0")]) for pid in PEERS
     ]
     client = Client(
         "c0", replicas=PEERS, steps=steps, timeout=timeout, wait_for_start=False
@@ -63,7 +63,7 @@ class TestLocalRuntime:
         import time
 
         time.sleep(0.1)  # let Chosen broadcasts land
-        prints = {r.service.state_fingerprint() for r in replicas}
+        prints = {r.groups[0].service.state_fingerprint() for r in replicas}
         assert len(prints) == 1
 
     def test_transactions(self):
@@ -104,7 +104,7 @@ class TestTcpRuntime:
         import time
 
         time.sleep(0.2)
-        prints = {r.service.state_fingerprint() for r in replicas}
+        prints = {r.groups[0].service.state_fingerprint() for r in replicas}
         assert len(prints) == 1
 
     def test_transactions_over_tcp(self):

@@ -22,7 +22,7 @@ def run_once(seed: int, mode: StateTransferMode):
     cluster.drain(1.0)
     result = collect(cluster)
     values = [r.value for r in cluster.clients[0].request_records()]
-    return result.rrt.mean, values, cluster.leader().service.value
+    return result.rrt.mean, values, cluster.leader().groups[0].service.value
 
 
 @settings(max_examples=10, deadline=None)

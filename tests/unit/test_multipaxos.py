@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ReplicaConfig
-from repro.core.multipaxos import MultiPaxosReplica, multipaxos_config
+from repro.core.multipaxos import multipaxos_config
 from repro.election.static import StaticElector
 from repro.services.kvstore import KVStoreService
+from repro.shard.host import GroupHost
 from repro.types import StateTransferMode
 
 
@@ -26,9 +27,8 @@ class TestConfig:
         assert config.max_batch == 4
 
     def test_replica_constructor(self):
-        replica = MultiPaxosReplica(
-            "r0", ("r0", "r1", "r2"), KVStoreService, StaticElector("r0")
-        )
+        config = multipaxos_config(("r0", "r1", "r2"))
+        replica = GroupHost("r0", config, KVStoreService, [StaticElector("r0")]).groups[0]
         assert replica.config.state_mode is StateTransferMode.SMR
         assert replica.pid == "r0"
 
@@ -44,12 +44,14 @@ class TestEndToEnd:
         kernel = Kernel()
         world = World(kernel)
         peers = ("r0", "r1", "r2")
-        replicas = [
-            MultiPaxosReplica(pid, peers, KVStoreService, StaticElector("r0"))
+        config = multipaxos_config(peers)
+        hosts = [
+            GroupHost(pid, config, KVStoreService, [StaticElector("r0")])
             for pid in peers
         ]
-        for replica in replicas:
-            world.add(replica)
+        for host in hosts:
+            world.add(host)
+        replicas = [host.groups[0] for host in hosts]
         world.add(Process("c0"))
         world.start()
         kernel.run(until=0.1)

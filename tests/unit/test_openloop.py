@@ -6,9 +6,9 @@ import pytest
 
 from repro.client.openloop import OpenLoopClient
 from repro.core.config import ReplicaConfig
-from repro.core.replica import Replica
 from repro.election.static import StaticElector
 from repro.services.noop import NoopService
+from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.world import World
 from repro.types import RequestKind
@@ -21,7 +21,7 @@ def run_client(kind=RequestKind.ORIGINAL, rate=1000.0, total=50, seed=1, warmup=
     world = World(kernel)
     config = ReplicaConfig(peers=PEERS)
     for pid in PEERS:
-        world.add(Replica(pid, config, NoopService, StaticElector("r0")))
+        world.add(GroupHost(pid, config, NoopService, [StaticElector("r0")]))
     client = OpenLoopClient(
         "c0", PEERS, kind, op=(kind.value,), rate=rate, total=total,
         wait_for_start=False, warmup=warmup,
@@ -66,7 +66,7 @@ class TestOpenLoop:
         world = World(kernel, SimNetwork(topology, seed=1))
         config = ReplicaConfig(peers=PEERS)
         for pid in PEERS:
-            world.add(Replica(pid, config, NoopService, StaticElector("r0")))
+            world.add(GroupHost(pid, config, NoopService, [StaticElector("r0")]))
         client = OpenLoopClient(
             "c0", PEERS, RequestKind.ORIGINAL, op=("original",),
             rate=100_000.0, total=50, wait_for_start=False, warmup=0.0,

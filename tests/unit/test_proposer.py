@@ -1,6 +1,6 @@
 """Unit tests for the leader's sequential proposal pipeline.
 
-These drive a real Replica inside a minimal world (constant latency, no
+These drive a real ReplicationGroup inside a minimal world (constant latency, no
 CPU cost) and inspect the pipeline directly.
 """
 
@@ -11,11 +11,11 @@ import pytest
 from repro.core.config import ReplicaConfig
 from repro.core.messages import AcceptBatch, Proposal
 from repro.core.proposer import DEFER, SKIP, ProposalItem
-from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
 from repro.election.static import StaticElector
 from repro.services.noop import NoopService
+from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
@@ -31,9 +31,9 @@ def make_cluster(seed=0, **config_overrides):
     config = ReplicaConfig(peers=PEERS, **config_overrides)
     replicas = {}
     for pid in PEERS:
-        replica = Replica(pid, config, NoopService, StaticElector("r0"))
-        world.add(replica)
-        replicas[pid] = replica
+        host = GroupHost(pid, config, NoopService, [StaticElector("r0")])
+        world.add(host)
+        replicas[pid] = host.groups[0]
     world.start()
     kernel.run(until=0.5)  # let the initial (empty) recovery finish
     return kernel, world, trace, replicas

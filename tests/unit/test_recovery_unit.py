@@ -14,11 +14,12 @@ from repro.core.messages import (
     Prepare,
     Proposal,
 )
-from repro.core.replica import Replica, ReplicaRole
+from repro.core.group import ReplicaRole
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
 from repro.election.static import ManualElector
 from repro.services.counter import CounterService
+from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
@@ -51,9 +52,9 @@ def make_world(seed=0, checkpoint_interval=1000):
     for pid in PEERS:
         elector = ManualElector(None)
         electors[pid] = elector
-        replica = Replica(pid, config, CounterService, elector)
-        world.add(replica)
-        replicas[pid] = replica
+        host = GroupHost(pid, config, CounterService, [elector])
+        world.add(host)
+        replicas[pid] = host.groups[0]
     from repro.sim.process import Process
 
     for instance in range(1, 95):

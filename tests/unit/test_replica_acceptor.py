@@ -16,11 +16,11 @@ from repro.core.messages import (
     Promise,
     Proposal,
 )
-from repro.core.replica import Replica, ReplicaRole
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
 from repro.election.static import ManualElector
 from repro.services.counter import CounterService
+from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
@@ -35,8 +35,9 @@ def make_follower(seed=0):
     trace = TraceRecorder()
     world = World(kernel, trace=trace)
     config = ReplicaConfig(peers=PEERS)
-    replica = Replica("r1", config, CounterService, ManualElector(None))
-    world.add(replica)
+    host = GroupHost("r1", config, CounterService, [ManualElector(None)])
+    world.add(host)
+    replica = host.groups[0]
     from repro.sim.process import Process
 
     for pid in ("r0", "r2", "c0"):

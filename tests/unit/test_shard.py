@@ -1,5 +1,6 @@
 """Sharding units: dispatch registry, schedule group assignment, the
-cross-group invariant, and two groups recovering from one shared disk."""
+cross-group invariant, the one-group host's bare wire, and two groups
+recovering from one shared disk."""
 
 from __future__ import annotations
 
@@ -11,11 +12,14 @@ from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.config import ReplicaConfig
 from repro.core.group import ReplicationGroup
 from repro.core.messages import GroupEnvelope, Prepare, Proposal
-from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election import StaticElector
 from repro.errors import ConfigError
+from repro.cluster.harness import Cluster, ClusterSpec
+from repro.net.profiles import sysnet
+from repro.obs.prof.profiler import NULL_PROFILER
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import NULL_TRACER
 from repro.shard.host import GroupHost
 from repro.sim import world as world_module
 from repro.sim.kernel import Kernel
@@ -42,9 +46,9 @@ class _Service:
         return "empty"
 
 
-def make_replica(**config) -> Replica:
+def make_replica(**config) -> ReplicationGroup:
     cfg = ReplicaConfig(peers=("r0", "r1", "r2"), **config)
-    return Replica("r0", cfg, _Service, StaticElector("r0"))
+    return GroupHost("r0", cfg, _Service, [StaticElector("r0")]).groups[0]
 
 
 # ---------------------------------------------------------- dispatch registry
@@ -259,6 +263,82 @@ class TestGroupBroadcast:
         assert self._wire_counters(registry) == {}
 
 
+# ------------------------------------------------------- one-group host wire
+class TestOneGroupHost:
+    """A one-group host is the unsharded replica: bare wire traffic, the
+    process's own metric scope, bare-pid fingerprints."""
+
+    PEERS = ("r0", "r1", "r2")
+
+    def _world(self, monkeypatch, **config):
+        registry = MetricsRegistry()
+        world = World(Kernel(seed=0), metrics=registry, measure_bytes=True)
+        cfg = ReplicaConfig(peers=self.PEERS, **config)
+        hosts = {}
+        for pid in self.PEERS:
+            host = GroupHost(pid, cfg, _Service, [StaticElector("r0")])
+            host.instrument(registry, NULL_TRACER, NULL_PROFILER)
+            hosts[pid] = world.add(host)
+        encodes = []
+
+        def counting_encoded_size(msg):
+            encodes.append(type(msg).__name__)
+            return encoded_size(msg)
+
+        monkeypatch.setattr(world_module, "encoded_size", counting_encoded_size)
+        return world, registry, hosts, encodes
+
+    @staticmethod
+    def _prepare() -> Prepare:
+        return Prepare(ballot=Ballot(1, "r0"), gaps=(), from_instance=0)
+
+    def test_broadcast_sends_bare_messages(self, monkeypatch):
+        _world, registry, hosts, encodes = self._world(monkeypatch)
+        hosts["r0"].groups[0].broadcast(("r1", "r2"), self._prepare())
+        assert encodes == ["Prepare"]
+        counters = registry.counters()
+        assert counters["msg.send.Prepare"] == 2
+        assert not [name for name in counters if "GroupEnvelope" in name]
+
+    def test_sends_count_once_under_the_process_scope(self, monkeypatch):
+        _world, registry, hosts, _encodes = self._world(monkeypatch)
+        for dst in ("r1", "r2"):
+            hosts["r0"].groups[0].send(dst, self._prepare())
+        counters = registry.counters()
+        assert counters["proc.r0.send.Prepare"] == 2
+        assert counters["msg.send.Prepare"] == 2  # the world saw bare sends
+        assert not [name for name in counters if name.startswith("proc.r0.g0.")]
+
+    def test_bare_protocol_message_reaches_group_zero(self, monkeypatch):
+        _world, _registry, hosts, _encodes = self._world(monkeypatch)
+        host = hosts["r1"]
+        host.on_message("r0", self._prepare())
+        assert host.groups[0].promised == Ballot(1, "r0")
+        assert host.stats == {}
+        assert host.groups[0].stats["unknown_messages"] == 0
+
+    def test_poisoned_device_fail_stops_the_host(self, monkeypatch):
+        world, _registry, hosts, _encodes = self._world(monkeypatch, fsync_mode="sync")
+        host = hosts["r1"]
+        world.crash("r1")
+        host.pump.device.poisoned = True
+        world.recover("r1")
+        assert not host.alive
+        assert not host.groups[0].alive
+        assert host.groups[0].stats["storage_failstops"] == 1
+
+    @pytest.mark.parametrize(
+        ("groups", "keys"),
+        [
+            (1, ["r0", "r1", "r2"]),
+            (2, ["r0/g0", "r0/g1", "r1/g0", "r1/g1", "r2/g0", "r2/g1"]),
+        ],
+    )
+    def test_fingerprint_keys(self, groups, keys):
+        cluster = Cluster(ClusterSpec(profile=sysnet(), groups=groups), [[]])
+        assert sorted(cluster.replica_fingerprints()) == keys
+
+
 # ------------------------------------------- two groups, one shared platter
 class _Handle:
     def __init__(self) -> None:
@@ -291,7 +371,8 @@ class _Tracer:
 
 
 class _FakeHost:
-    """Just enough of a ReplicationGroup for StableStore: config + clock."""
+    """Just enough of a replica process for StableStore and its
+    StoragePump: config + clock."""
 
     def __init__(self, **config) -> None:
         self.config = ReplicaConfig(peers=("r0", "r1", "r2"), **config)

@@ -13,6 +13,7 @@ from repro.storage import (
     CheckpointBlob,
     SimDisk,
     StableStore,
+    StoragePump,
     WalRecord,
     decode_frames,
     encode_frame,
@@ -209,7 +210,8 @@ class _Service:
 
 
 class _FakeHost:
-    """Just enough of a Replica for StableStore: config, clock, timers."""
+    """Just enough of a replica process for StableStore and its
+    StoragePump: config, clock, timers."""
 
     def __init__(self, **config) -> None:
         self.config = ReplicaConfig(peers=("r0", "r1", "r2"), **config)
@@ -239,9 +241,13 @@ class _FakeHost:
         self.now = max(self.now, to)
 
 
+def _store(host: _FakeHost) -> StableStore:
+    return StableStore(host, StoragePump(host))
+
+
 class TestStableStore:
     def test_async_mode_flush_is_inline(self):
-        store = StableStore(_FakeHost(fsync_mode="async"))
+        store = _store(_FakeHost(fsync_mode="async"))
         store.record_round(1)
         fired = []
         store.flush(lambda: fired.append(True))
@@ -251,7 +257,7 @@ class TestStableStore:
 
     def test_sync_mode_barrier_waits_for_fsync(self):
         host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
-        store = StableStore(host)
+        store = _store(host)
         store.record_round(1)
         fired = []
         store.flush(lambda: fired.append(True))
@@ -264,7 +270,7 @@ class TestStableStore:
         host = _FakeHost(
             fsync_mode="group", fsync_latency=1e-3, group_commit_interval=5e-3
         )
-        store = StableStore(host)
+        store = _store(host)
         fired = []
         store.record_round(1)
         store.flush(lambda: fired.append("a"))
@@ -275,14 +281,14 @@ class TestStableStore:
         assert store.device.fsyncs == 1  # both barriers rode one fsync
 
     def test_flush_with_nothing_outstanding_is_inline(self):
-        store = StableStore(_FakeHost(fsync_mode="sync"))
+        store = _store(_FakeHost(fsync_mode="sync"))
         fired = []
         store.flush(lambda: fired.append(True))
         assert fired == [True]
 
     def test_lost_fsync_window_then_crash_halts_recovery(self):
         host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
-        store = StableStore(host)
+        store = _store(host)
         store.inject_lost_fsync(duration=1.0)
         store.record_round(1)
         store.flush(lambda: None)
@@ -294,7 +300,7 @@ class TestStableStore:
 
     def test_disk_stall_delays_fsync(self):
         host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
-        store = StableStore(host)
+        store = _store(host)
         store.inject_disk_stall(duration=1.0, extra=5e-3)
         store.record_round(1)
         fired = []
@@ -306,7 +312,7 @@ class TestStableStore:
 
     def test_recover_replays_synced_records(self):
         host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3, track_commits=True)
-        store = StableStore(host)
+        store = _store(host)
         store.accept(pn(1), proposal(seq=1))
         store.choose(1, proposal(seq=1))
         store.record_promise(Ballot(4, "r1"))
@@ -324,7 +330,7 @@ class TestStableStore:
 
     def test_unsynced_records_lost_at_crash(self):
         host = _FakeHost(fsync_mode="group", group_commit_interval=1.0)
-        store = StableStore(host)
+        store = _store(host)
         store.accept(pn(1), proposal())
         store.crash()  # group timer never fired: nothing durable
         state = store.recover()

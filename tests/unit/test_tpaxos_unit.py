@@ -6,10 +6,10 @@ import pytest
 
 from repro.core.config import ReplicaConfig
 from repro.core.messages import Reply
-from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.static import ManualElector, StaticElector
 from repro.services.bank import BankService
+from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -31,10 +31,9 @@ def make_leader(seed=0, **config_kw):
     world = World(kernel, trace=trace)
     config = ReplicaConfig(peers=PEERS, **config_kw)
     elector = ManualElector(None)
-    leader = Replica("r0", config, bank_factory, elector)
-    world.add(leader)
+    leader = world.add(GroupHost("r0", config, bank_factory, [elector])).groups[0]
     for pid in PEERS[1:]:
-        world.add(Replica(pid, config, bank_factory, StaticElector("r0")))
+        world.add(GroupHost(pid, config, bank_factory, [StaticElector("r0")]))
     world.add(Process("c0"))
     world.add(Process("c1"))
     world.start()

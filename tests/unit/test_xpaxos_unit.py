@@ -7,10 +7,10 @@ import pytest
 from repro.core.ballot import Ballot
 from repro.core.config import ReplicaConfig
 from repro.core.messages import Confirm, Reply
-from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.static import ManualElector, StaticElector
 from repro.services.counter import CounterService
+from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -33,10 +33,9 @@ def make_leader(n=3, execute_time=0.0, seed=0):
     peers = PEERS[:n]
     config = ReplicaConfig(peers=peers, execute_time=execute_time)
     elector = ManualElector(None)
-    leader = Replica("r0", config, CounterService, elector)
-    world.add(leader)
+    leader = world.add(GroupHost("r0", config, CounterService, [elector])).groups[0]
     for pid in peers[1:]:
-        world.add(Replica(pid, config, CounterService, StaticElector("r0")))
+        world.add(GroupHost(pid, config, CounterService, [StaticElector("r0")]))
     world.add(Process("c0"))
     world.start()
     elector.set_leader("r0")
@@ -151,8 +150,9 @@ class TestBackupSide:
         trace = TraceRecorder()
         world = World(kernel, trace=trace)
         config = ReplicaConfig(peers=PEERS[:3])
-        backup = Replica("r1", config, CounterService, StaticElector("r0"))
-        world.add(backup)
+        host = GroupHost("r1", config, CounterService, [StaticElector("r0")])
+        world.add(host)
+        backup = host.groups[0]
         for pid in ("r0", "r2", "c0"):
             world.add(Process(pid))
         world.start()
@@ -171,8 +171,9 @@ class TestBackupSide:
         trace = TraceRecorder()
         world = World(kernel, trace=trace)
         config = ReplicaConfig(peers=PEERS[:3])
-        backup = Replica("r1", config, CounterService, StaticElector("r0"))
-        world.add(backup)
+        host = GroupHost("r1", config, CounterService, [StaticElector("r0")])
+        world.add(host)
+        backup = host.groups[0]
         for pid in ("r0", "r2", "c0"):
             world.add(Process(pid))
         world.start()
