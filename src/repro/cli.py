@@ -4,6 +4,11 @@
 prints a paper-vs-measured report in Markdown — EXPERIMENTS.md is exactly
 this command's output. ``--quick`` trims sample counts for a fast smoke
 run.
+
+``run``, ``trace`` and ``profile`` share one scenario front end: the same
+flags (:func:`_scenario_flags`) build and run the same cluster
+(:func:`_scenario`), so any scenario one of them runs, the others can
+trace or profile. Each command adds only its own rendering.
 """
 
 from __future__ import annotations
@@ -12,14 +17,23 @@ import argparse
 import sys
 import time
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro import __version__
 from repro.analysis.report import percent_change
-from repro.lint.cli import add_lint_parser, lint_command
+from repro.lint.cli import add_lint_parser
 from repro.net.profiles import PROFILES, get_profile
-from repro.parallel import pmap
+from repro.parallel.spec import (
+    FIGURES,
+    KINDS,
+    RRT_PROFILES,
+    TXN_CLIENTS,
+    TXN_MODES,
+    TXN_SIZES,
+)
 
-KINDS = ("original", "read", "write")
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.cluster.harness import Cluster
 
 TABLE1_PAPER_MS = {
     ("read_write", 3): 1.17,
@@ -28,12 +42,6 @@ TABLE1_PAPER_MS = {
     ("write_only", 5): 2.01,
     ("optimized", 3): 0.85,
     ("optimized", 5): 1.23,
-}
-
-#: Paper-reported T-Paxos throughput gains (%), Fig. 9 commentary, 3-req.
-FIG9_PAPER_GAINS_3REQ = {
-    "read_write": (42, 43, 45, 47, 57),
-    "write_only": (52, 53, 77, 88, 97),
 }
 
 
@@ -45,21 +53,13 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _rrt_section(quick: bool, workers: int = 1) -> str:
-    samples = 60 if quick else 300
-    profiles = ("sysnet", "berkeley_princeton", "wan")
-    params = [
-        {"profile": name, "kind": kind, "samples": samples, "seed": 1}
-        for name in profiles
-        for kind in KINDS
-    ]
-    results = iter(pmap("rrt", params, workers=workers))
+def _rrt_section(results: dict[str, dict]) -> str:
     sections = []
-    for name in profiles:
+    for name in RRT_PROFILES:
         profile = get_profile(name)
         rows = []
         for kind in KINDS:
-            rrt = next(results)["rrt"]
+            rrt = results[f"rrt/{name}/{kind}"]["rrt"]
             paper = profile.paper_rrt[kind]
             rows.append(
                 [
@@ -79,49 +79,26 @@ def _rrt_section(quick: bool, workers: int = 1) -> str:
     return "\n\n".join(sections)
 
 
-def _throughput_section(quick: bool, workers: int = 1) -> str:
-    total = 400 if quick else 1000
-    figures = (
-        ("sysnet", (1, 2, 4, 8, 16), "Fig. 5"),
-        ("sysnet", (8, 16, 32, 64, 128), "Fig. 6"),
-        ("berkeley_princeton", (1, 2, 4, 8, 16), "Fig. 7"),
-        ("wan", (1, 2, 4, 8, 16), "Fig. 8"),
-    )
-    params = [
-        {"profile": name, "kind": kind, "n_clients": c,
-         "total_requests": total, "seed": 3}
-        for name, clients, _ in figures
-        for c in clients
-        for kind in ("read", "write", "original")
-    ]
-    results = iter(pmap("throughput", params, workers=workers))
+def _throughput_section(results: dict[str, dict]) -> str:
+    columns = ("read", "write", "original")
     sections = []
-    for name, clients, figure in figures:
+    for figure, name, clients in FIGURES:
         rows = []
         for c in clients:
-            row: list[object] = [c]
-            for _kind in ("read", "write", "original"):
-                row.append(f"{next(results)['throughput']:.0f}")
-            rows.append(row)
+            keys = (f"throughput/{figure}/{name}/c={c:03d}/{kind}" for kind in columns)
+            rows.append([c, *(f"{results[key]['throughput']:.0f}" for key in keys)])
         sections.append(
-            f"### {figure} — throughput on {name} (requests/s)\n\n"
-            + _md_table(["clients", "read", "write", "original"], rows)
+            f"### Fig. {figure[3:]} — throughput on {name} (requests/s)\n\n"
+            + _md_table(["clients", *columns], rows)
         )
     return "\n\n".join(sections)
 
 
-def _table1_section(quick: bool, workers: int = 1) -> str:
-    samples = 60 if quick else 200
-    cells = list(TABLE1_PAPER_MS.items())
-    params = [
-        {"mode": mode, "requests_per_txn": k, "samples": samples, "seed": 2}
-        for (mode, k), _ in cells
-    ]
-    results = pmap("txn_rrt", params, workers=workers)
+def _table1_section(results: dict[str, dict]) -> str:
     rows = []
     measured = {}
-    for ((mode, k), paper_ms), result in zip(cells, results, strict=True):
-        trt = result["trt"]
+    for (mode, k), paper_ms in TABLE1_PAPER_MS.items():
+        trt = results[f"table1/{mode}/k={k}"]["trt"]
         measured[(mode, k)] = trt["mean"]
         rows.append(
             [
@@ -133,7 +110,7 @@ def _table1_section(quick: bool, workers: int = 1) -> str:
             ]
         )
     gains = []
-    for k in (3, 5):
+    for k in TXN_SIZES:
         for base in ("read_write", "write_only"):
             reduction = 1 - measured[("optimized", k)] / measured[(base, k)]
             gains.append(f"vs {base} {k}-req: -{reduction * 100:.0f}%")
@@ -147,31 +124,24 @@ def _table1_section(quick: bool, workers: int = 1) -> str:
     )
 
 
-def _fig9_section(quick: bool, workers: int = 1) -> str:
-    total = 200 if quick else 400
-    modes = ("read_write", "write_only", "optimized")
-    params = [
-        {"mode": mode, "requests_per_txn": k, "n_clients": c,
-         "total_txns": total, "seed": 5}
-        for k in (3, 5)
-        for c in (1, 2, 4, 8, 16)
-        for mode in modes
-    ]
-    flat = iter(pmap("txn_throughput", params, workers=workers))
+def _fig9_section(results: dict[str, dict]) -> str:
     sections = []
-    for k in (3, 5):
+    for k in TXN_SIZES:
         rows = []
-        for c in (1, 2, 4, 8, 16):
-            results = {mode: next(flat)["step_throughput"] for mode in modes}
-            opt = results["optimized"]
+        for c in TXN_CLIENTS:
+            tput = {
+                mode: results[f"fig9/k={k}/c={c:03d}/{mode}"]["step_throughput"]
+                for mode in TXN_MODES
+            }
+            opt = tput["optimized"]
             rows.append(
                 [
                     c,
-                    f"{results['read_write']:.0f}",
-                    f"{results['write_only']:.0f}",
+                    f"{tput['read_write']:.0f}",
+                    f"{tput['write_only']:.0f}",
                     f"{opt:.0f}",
-                    f"+{(opt / results['read_write'] - 1) * 100:.0f}%",
-                    f"+{(opt / results['write_only'] - 1) * 100:.0f}%",
+                    f"+{(opt / tput['read_write'] - 1) * 100:.0f}%",
+                    f"+{(opt / tput['write_only'] - 1) * 100:.0f}%",
                 ]
             )
         sections.append(
@@ -187,7 +157,18 @@ def _fig9_section(quick: bool, workers: int = 1) -> str:
 
 
 def build_experiments_report(quick: bool = False, workers: int = 1) -> str:
+    """Run :func:`repro.parallel.figures_grid` and render the §4 report."""
+    from repro.parallel import SweepOptions, figures_grid, run_sweep
+
     started = time.time()
+    sweep = run_sweep(figures_grid(quick), SweepOptions(workers=workers))
+    failed = sweep.failed()
+    if failed:
+        raise RuntimeError(
+            f"{len(failed)}/{len(sweep.records)} runs failed; first: "
+            f"{failed[0].spec.key}: {failed[0].error}"
+        )
+    results = {record.spec.key: record.result for record in sweep.records}
     body = "\n\n".join(
         [
             "# EXPERIMENTS — paper vs. measured",
@@ -198,12 +179,12 @@ def build_experiments_report(quick: bool = False, workers: int = 1) -> str:
             " (orderings, crossovers, peaks) — absolute throughput depends on"
             " testbed constants the paper does not fully specify.",
             "## Request response time (§4.1)",
-            _rrt_section(quick, workers),
+            _rrt_section(results),
             "## Throughput (Figs. 5-8)",
-            _throughput_section(quick, workers),
+            _throughput_section(results),
             "## Transactions (§4.2)",
-            _table1_section(quick, workers),
-            _fig9_section(quick, workers),
+            _table1_section(results),
+            _fig9_section(results),
             "## Ablations",
             "Ablation benches (not in the paper's tables, called out in its text)"
             " live in `benchmarks/`: leader-switch sensitivity (§3.6), t > 1"
@@ -217,57 +198,112 @@ def build_experiments_report(quick: bool = False, workers: int = 1) -> str:
     return body
 
 
-def run_command(args: argparse.Namespace) -> int:
-    """One instrumented run: print the result summary, optionally export the
-    JSONL timeline for ``repro report``.
+def experiments_command(args: argparse.Namespace) -> int:
+    print(build_experiments_report(quick=args.quick, workers=args.workers))
+    return 0
 
-    ``--groups N`` builds a sharded cluster: clients work a spread of KV
-    keys (instead of the noop service's keyless ops, which would all land
-    on group 0) so every replication group coordinates a slice of the
-    traffic and the per-group report tables have something to show.
+
+def profiles_command(args: argparse.Namespace) -> int:
+    for name, factory in PROFILES.items():
+        profile = factory()
+        print(f"{name}: {profile.description}")
+        for kind, value in profile.paper_rrt.items():
+            print(f"    paper {kind} RRT: {value * 1e3:.3f} ms")
+    return 0
+
+
+def _scenario_flags() -> argparse.ArgumentParser:
+    """The scenario flags ``run``, ``trace`` and ``profile`` share.
+
+    A fresh parent per command: argparse shares a parent's actions with
+    every child, so one command's ``set_defaults`` would leak into the
+    others."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--profile", default="sysnet", choices=sorted(PROFILES),
+                       help="deployment profile (default: sysnet)")
+    flags.add_argument("--kind", default="write", choices=KINDS,
+                       help="request kind for every client (default: write)")
+    flags.add_argument("--requests", type=int, default=100,
+                       help="total requests across all clients "
+                            "(default: %(default)s)")
+    flags.add_argument("--clients", type=int, default=1,
+                       help="closed-loop client count (default: 1)")
+    flags.add_argument("--seed", type=int, default=0, help="simulation seed")
+    flags.add_argument("--groups", type=int, default=1,
+                       help="replication groups per process (keyspace shards; "
+                            ">1 switches to a keyed KV workload, default: 1)")
+    flags.add_argument("--fsync", default="async", choices=("sync", "group", "async"),
+                       help="stable-storage durability mode: fsync per barrier, "
+                            "group commit, or legacy write-through (default: async)")
+    flags.add_argument("--execute-time", type=float, default=0.0,
+                       help="modeled execution time E in seconds (default: 0)")
+    flags.add_argument("--export", metavar="PATH",
+                       help="write the JSONL timeline here (for 'repro report')")
+    flags.add_argument("--chrome", metavar="PATH",
+                       help="write a Chrome trace-event JSON here")
+    return flags
+
+
+def _scenario(args: argparse.Namespace, **recorders: bool) -> Cluster:
+    """Build and run the cluster the scenario flags describe.
+
+    ``recorders`` switch on :class:`ClusterSpec` observability (``trace``,
+    ``tracing``, ``profiling``). ``--groups N`` > 1 builds a sharded
+    cluster: clients work a spread of KV keys (instead of the noop
+    service's keyless ops, which would all land on group 0) so every
+    replication group coordinates a slice of the traffic.
     """
     from repro.client.workload import single_kind_steps
     from repro.cluster.harness import Cluster, ClusterSpec
-    from repro.cluster.metrics import collect
+    from repro.services.kvstore import KVStoreService
+    from repro.services.noop import NoopService
     from repro.types import RequestKind
 
-    profile = get_profile(args.profile)
     kind = RequestKind(args.kind)
-    per_client = max(1, args.requests // args.clients)
     spec = ClusterSpec(
-        profile=profile,
+        profile=get_profile(args.profile),
         seed=args.seed,
-        trace=args.trace,
-        tracing=args.tracing or bool(args.chrome),
-        profiling=args.profiling,
-        fsync=args.fsync,
         groups=args.groups,
+        fsync=args.fsync,
+        execute_time=args.execute_time,
+        **recorders,
     )
-    if args.groups > 1:
-        from repro.services.kvstore import KVStoreService
 
-        def op(index: int):
-            key = f"k{index % (4 * args.groups)}"
-            if kind is RequestKind.READ:
-                return ("get", key)
-            return ("put", key, f"v{index}")
+    def kv_op(index: int) -> tuple[str, ...]:
+        key = f"k{index % (4 * args.groups)}"
+        return ("get", key) if kind is RequestKind.READ else ("put", key, f"v{index}")
 
-        steps = [
-            single_kind_steps(kind, per_client, op=op)
-            for _ in range(args.clients)
-        ]
-        cluster = Cluster(spec, steps, service_factory=KVStoreService)
-    else:
-        steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
-        cluster = Cluster(spec, steps)
-    cluster.run()
-    print(collect(cluster).describe())
+    sharded = args.groups > 1
+    per_client = max(1, args.requests // args.clients)
+    steps = [
+        single_kind_steps(kind, per_client, op=kv_op if sharded else None)
+        for _ in range(args.clients)
+    ]
+    service = KVStoreService if sharded else NoopService
+    return Cluster(spec, steps, service_factory=service).run()
+
+
+def _write_outputs(cluster: Cluster, args: argparse.Namespace) -> None:
     if args.export:
-        path = cluster.export_timeline(args.export)
-        print(f"timeline: {path}")
+        print(f"timeline: {cluster.export_timeline(args.export)}")
     if args.chrome:
         path = cluster.export_chrome(args.chrome)
         print(f"chrome trace: {path} (load at ui.perfetto.dev)")
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """One instrumented run: print the result summary, optionally export the
+    JSONL timeline for ``repro report``."""
+    from repro.cluster.metrics import collect
+
+    cluster = _scenario(
+        args,
+        trace=args.trace,
+        tracing=args.tracing or bool(args.chrome),
+        profiling=args.profiling,
+    )
+    print(collect(cluster).describe())
+    _write_outputs(cluster, args)
     return 0
 
 
@@ -275,76 +311,44 @@ def trace_command(args: argparse.Namespace) -> int:
     """Run one traced cluster and render per-request waterfalls plus the
     critical-path and §3.4 formula-conformance summaries."""
     from repro.analysis.model import LatencyModelInputs
-    from repro.client.workload import single_kind_steps
-    from repro.cluster.harness import Cluster, ClusterSpec
-    from repro.obs.tracing import (
-        COMPONENTS,
-        analyze_requests,
-        conformance,
-        summarize_paths,
-    )
-    from repro.types import RequestKind
+    from repro.obs.report import critical_path_table
+    from repro.obs.tracing import analyze_requests, conformance
     from repro.util.tables import format_table
 
-    profile = get_profile(args.profile)
-    kind = RequestKind(args.kind)
-    per_client = max(1, args.requests // args.clients)
-    spec = ClusterSpec(profile=profile, seed=args.seed, tracing=True)
-    steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
-    cluster = Cluster(spec, steps)
-    cluster.run()
-
+    cluster = _scenario(args, tracing=True)
     store = cluster.tracer.store
-    shown = 0
-    for root in store.roots():
-        if root.kind != "request":
-            continue
-        if shown >= args.show:
-            break
+    requests = [root for root in store.roots() if root.kind == "request"]
+    for root in requests[: args.show]:
         print(store.tree(root.trace_id).render_waterfall())
         print()
-        shown += 1
+    print(critical_path_table(store))
 
-    paths = analyze_requests(store)
-    rows: list[list[object]] = []
-    for k, s in summarize_paths(paths).items():
-        rows.append([k, "mean", s.n, f"{s.mean_total * 1e3:.3f}",
-                     *(f"{s.mean[c] * 1e3:.3f}" for c in COMPONENTS),
-                     s.incomplete or ""])
-        rows.append([k, "p95", "", f"{s.p95_total * 1e3:.3f}",
-                     *(f"{s.p95[c] * 1e3:.3f}" for c in COMPONENTS), ""])
-    print("Critical-path attribution (ms)")
-    print(format_table(["kind", "stat", "n", "total", *COMPONENTS, "incomplete"], rows))
-
-    # Model inputs derived from the profile's paper RRTs (original = 2M + E,
-    # write = 2M + E + 2m, with E = 0 in this command's workloads).
+    # M and m from the profile's paper RRTs, read as original = 2M and
+    # write = 2M + 2m (the paper's service executes in negligible time);
+    # E is --execute-time. Fsync time is not in the model.
+    profile = cluster.spec.profile
     original = profile.paper_rrt.get("original")
     write = profile.paper_rrt.get("write")
     if original is not None and write is not None:
         model = LatencyModelInputs(
             client_replica=original / 2,
             replica_replica=(write - original) / 2,
-            execute=0.0,
+            execute=args.execute_time,
         )
-        crows = []
-        for k, row in conformance(paths, model, xpaxos_reads=spec.xpaxos_reads).items():
-            crows.append([k, row.formula, row.n,
-                          f"{row.measured_mean * 1e3:.3f}",
-                          f"{row.expected * 1e3:.3f}",
-                          f"{row.deviation * 1e3:+.3f}"])
+        paths = analyze_requests(store)
+        crows = [
+            [k, row.formula, row.n, f"{row.measured_mean * 1e3:.3f}",
+             f"{row.expected * 1e3:.3f}", f"{row.deviation * 1e3:+.3f}"]
+            for k, row in conformance(
+                paths, model, xpaxos_reads=cluster.spec.xpaxos_reads
+            ).items()
+        ]
         if crows:
             print()
             print("Latency-formula conformance (§3.4, ms; model from paper RRTs)")
             print(format_table(["kind", "formula", "n", "measured", "model", "dev"],
                                crows))
-
-    if args.chrome:
-        print()
-        path = cluster.export_chrome(args.chrome)
-        print(f"chrome trace: {path} (load at ui.perfetto.dev)")
-    if args.export:
-        path = cluster.export_timeline(args.export)
-        print(f"timeline: {path}")
+    _write_outputs(cluster, args)
     return 0
 
 
@@ -522,36 +526,12 @@ def profile_command(args: argparse.Namespace) -> int:
     """Profile one run: hottest-handlers table, §3.4 E/m/M attribution, and
     (optionally) a collapsed flamegraph file plus a chrome trace with
     per-actor sim-CPU counter tracks."""
-    from repro.client.workload import single_kind_steps
-    from repro.cluster.harness import Cluster, ClusterSpec
     from repro.obs.prof import attribution, frame_rows, write_collapsed
-    from repro.types import RequestKind
+    from repro.obs.report import hottest_handlers_table
     from repro.util.tables import format_table
 
-    profile = get_profile(args.profile)
-    kind = RequestKind(args.kind)
-    per_client = max(1, args.requests // args.clients)
-    spec = ClusterSpec(
-        profile=profile,
-        seed=args.seed,
-        execute_time=args.execute_time,
-        profiling=True,
-        tracing=bool(args.chrome),
-    )
-    steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
-    cluster = Cluster(spec, steps)
-    cluster.run()
-
-    rows = sorted(
-        (row for row in frame_rows(cluster.profiler) if row[1]),
-        key=lambda row: (-row[2], -row[3], row[0]),
-    )
-    table = [
-        [";".join(path), calls, f"{sim_ns / 1e6:.3f}", f"{host_ns / 1e6:.3f}"]
-        for path, calls, sim_ns, host_ns in rows[: args.top]
-    ]
-    print(f"Hottest handlers (top {len(table)}, exclusive)")
-    print(format_table(["frame", "calls", "sim ms", "host ms"], table))
+    cluster = _scenario(args, profiling=True, tracing=bool(args.chrome))
+    print(hottest_handlers_table(frame_rows(cluster.profiler), top=args.top))
 
     # §3.4 attribution: M = client<->replica messaging, E = execution,
     # m = replica<->replica messaging, measured in accounted sim-CPU.
@@ -569,12 +549,7 @@ def profile_command(args: argparse.Namespace) -> int:
         path = write_collapsed(cluster.profiler, args.out, metric=args.metric)
         print(f"\ncollapsed stacks ({args.metric}): {path} "
               "(render with flamegraph.pl or speedscope)")
-    if args.chrome:
-        path = cluster.export_chrome(args.chrome)
-        print(f"chrome trace with counter tracks: {path} (load at ui.perfetto.dev)")
-    if args.export:
-        path = cluster.export_timeline(args.export)
-        print(f"timeline: {path}")
+    _write_outputs(cluster, args)
     return 0
 
 
@@ -665,7 +640,7 @@ def report_command(args: argparse.Namespace) -> int:
     from repro.obs.timeline import load_export
 
     try:
-        exports = [load_export(path) for path in args.paths]
+        exports = [load_export(path) for path in (args.export, args.other) if path]
     except (OSError, ValueError) as exc:
         print(f"repro report: error: {exc}", file=sys.stderr)
         return 2
@@ -688,6 +663,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     experiments = sub.add_parser(
         "experiments", help="re-run every table/figure and print the report"
     )
+    experiments.set_defaults(func=experiments_command)
     experiments.add_argument(
         "--quick", action="store_true", help="smaller sample counts (smoke run)"
     )
@@ -696,64 +672,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="worker processes for the run grid (default: 1, serial)",
     )
 
-    sub.add_parser("profiles", help="list the calibrated deployment profiles")
+    sub.add_parser(
+        "profiles", help="list the calibrated deployment profiles"
+    ).set_defaults(func=profiles_command)
 
     run = sub.add_parser(
-        "run", help="one instrumented run; export its timeline with --export"
+        "run", parents=[_scenario_flags()],
+        help="one instrumented run; export its timeline with --export",
     )
-    run.add_argument(
-        "--profile", default="sysnet", choices=sorted(PROFILES),
-        help="deployment profile (default: sysnet)",
-    )
-    run.add_argument(
-        "--kind", default="write", choices=KINDS,
-        help="request kind for every client (default: write)",
-    )
-    run.add_argument("--requests", type=int, default=100,
-                     help="total requests across all clients (default: 100)")
-    run.add_argument("--clients", type=int, default=1,
-                     help="closed-loop client count (default: 1)")
-    run.add_argument("--seed", type=int, default=0, help="simulation seed")
-    run.add_argument("--groups", type=int, default=1,
-                     help="replication groups per process (keyspace shards; "
-                          ">1 switches to a keyed KV workload, default: 1)")
-    run.add_argument("--fsync", default="async", choices=("sync", "group", "async"),
-                     help="stable-storage durability mode: fsync per barrier, "
-                          "group commit, or legacy write-through (default: async)")
-    run.add_argument("--export", metavar="PATH",
-                     help="write the JSONL timeline here (for 'repro report')")
+    run.set_defaults(func=run_command)
     run.add_argument("--trace", action="store_true",
                      help="also record (and export) per-message trace events")
     run.add_argument("--tracing", action="store_true",
-                     help="record causal request spans (exported with --export)")
-    run.add_argument("--chrome", metavar="PATH",
-                     help="write a Chrome trace-event JSON here (implies --tracing)")
+                     help="record causal request spans (exported with --export; "
+                          "implied by --chrome)")
     run.add_argument("--profiling", action="store_true",
                      help="record sim-CPU/host-time profiler frames "
                           "(exported with --export; counters with --chrome)")
 
     profile_parser = sub.add_parser(
-        "profile",
+        "profile", parents=[_scenario_flags()],
         help="profile one run: hottest handlers, E/m/M attribution, flamegraph",
     )
-    profile_parser.add_argument(
-        "--profile", default="sysnet", choices=sorted(PROFILES),
-        help="deployment profile (default: sysnet)",
-    )
-    profile_parser.add_argument(
-        "--kind", default="write", choices=KINDS,
-        help="request kind for every client (default: write)",
-    )
-    profile_parser.add_argument("--requests", type=int, default=100,
-                                help="total requests across all clients "
-                                     "(default: 100)")
-    profile_parser.add_argument("--clients", type=int, default=1,
-                                help="closed-loop client count (default: 1)")
-    profile_parser.add_argument("--seed", type=int, default=0,
-                                help="simulation seed")
-    profile_parser.add_argument("--execute-time", type=float, default=0.0,
-                                help="modeled execution time E in seconds "
-                                     "(default: 0)")
+    profile_parser.set_defaults(func=profile_command)
     profile_parser.add_argument("--top", type=int, default=10,
                                 help="hottest-handlers rows to print "
                                      "(default: 10)")
@@ -763,16 +704,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     profile_parser.add_argument("--metric", default="sim", choices=("sim", "host"),
                                 help="collapsed-stack metric: simulated CPU ns "
                                      "or host wall ns (default: sim)")
-    profile_parser.add_argument("--chrome", metavar="PATH",
-                                help="write a Chrome trace-event JSON with "
-                                     "counter tracks here")
-    profile_parser.add_argument("--export", metavar="PATH",
-                                help="write the JSONL timeline here "
-                                     "(for 'repro report')")
+
+    trace = sub.add_parser(
+        "trace", parents=[_scenario_flags()],
+        help="one traced run: per-request waterfalls + critical-path summary",
+    )
+    trace.set_defaults(func=trace_command, requests=10)
+    trace.add_argument("--show", type=int, default=3,
+                       help="request waterfalls to print (default: 3)")
 
     perf = sub.add_parser(
         "perf", help="perf-regression ledger: record results, trend, gate CI"
     )
+    perf.set_defaults(func=perf_command)
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
     default_ledger = "benchmarks/results/perf-ledger.jsonl"
     perf_record = perf_sub.add_parser(
@@ -801,40 +745,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="minimum band as a fraction of the median "
                             "(default: 0.10)")
 
-    trace = sub.add_parser(
-        "trace",
-        help="one traced run: per-request waterfalls + critical-path summary",
-    )
-    trace.add_argument(
-        "--profile", default="sysnet", choices=sorted(PROFILES),
-        help="deployment profile (default: sysnet)",
-    )
-    trace.add_argument(
-        "--kind", default="write", choices=KINDS,
-        help="request kind for every client (default: write)",
-    )
-    trace.add_argument("--requests", type=int, default=10,
-                       help="total requests across all clients (default: 10)")
-    trace.add_argument("--clients", type=int, default=1,
-                       help="closed-loop client count (default: 1)")
-    trace.add_argument("--seed", type=int, default=0, help="simulation seed")
-    trace.add_argument("--show", type=int, default=3,
-                       help="request waterfalls to print (default: 3)")
-    trace.add_argument("--chrome", metavar="PATH",
-                       help="write a Chrome trace-event JSON here")
-    trace.add_argument("--export", metavar="PATH",
-                       help="write the JSONL timeline here (for 'repro report')")
-
     report = sub.add_parser(
         "report", help="render tables from a JSONL export (two paths: compare)"
     )
-    report.add_argument("paths", nargs="+", metavar="EXPORT",
-                        help="one export to report on, or two to compare")
+    report.set_defaults(func=report_command)
+    report.add_argument("export", metavar="EXPORT", help="the export to report on")
+    report.add_argument("other", nargs="?", metavar="EXPORT",
+                        help="a second export: compare the two")
 
     chaos = sub.add_parser(
         "chaos",
         help="randomized fault schedules + invariant checks over many seeds",
     )
+    chaos.set_defaults(func=chaos_command)
     chaos.add_argument("--seeds", type=int, default=20,
                        help="number of seeds to sweep (default: 20)")
     chaos.add_argument("--seed", type=int, default=0,
@@ -884,6 +807,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep",
         help="shard a run grid across workers; deterministic merged JSON",
     )
+    sweep.set_defaults(func=sweep_command)
     sweep.add_argument("--grid", required=True,
                        choices=("chaos", "figures", "calibration", "selftest"),
                        help="which run grid to execute")
@@ -916,35 +840,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_lint_parser(sub)
 
     args = parser.parse_args(argv)
-    if args.command == "experiments":
-        print(build_experiments_report(quick=args.quick, workers=args.workers))
-        return 0
-    if args.command == "profiles":
-        for name, factory in PROFILES.items():
-            profile = factory()
-            print(f"{name}: {profile.description}")
-            for kind, value in profile.paper_rrt.items():
-                print(f"    paper {kind} RRT: {value * 1e3:.3f} ms")
-        return 0
-    if args.command == "run":
-        return run_command(args)
-    if args.command == "trace":
-        return trace_command(args)
-    if args.command == "profile":
-        return profile_command(args)
-    if args.command == "perf":
-        return perf_command(args)
-    if args.command == "report":
-        if len(args.paths) > 2:
-            parser.error("report takes one export, or two to compare")
-        return report_command(args)
-    if args.command == "chaos":
-        return chaos_command(args)
-    if args.command == "sweep":
-        return sweep_command(args)
-    if args.command == "lint":
-        return lint_command(args)
-    raise AssertionError("unreachable")
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

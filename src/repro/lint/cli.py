@@ -28,6 +28,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
             "transport-free core. See docs/static-analysis.md."
         ),
     )
+    lint.set_defaults(func=lint_command)
     lint.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)",

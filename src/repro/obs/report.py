@@ -4,14 +4,17 @@ Consumes :class:`repro.obs.timeline.RunExport` (a parsed JSONL export) or a
 live :class:`repro.obs.registry.MetricsRegistry`, and renders aligned text
 tables via :mod:`repro.util.tables` — the same look as the benchmark
 output, so report blocks paste straight into EXPERIMENTS.md. Powers the
-``repro report`` CLI subcommand, including the two-run comparison mode.
+``repro report`` CLI subcommand, including the two-run comparison mode;
+``repro trace`` and ``repro profile`` print the critical-path and
+hottest-handlers tables straight from a live run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.spans import SpanStore
 from repro.obs.timeline import RunExport, registry_records
 from repro.obs.tracing import COMPONENTS, analyze_requests, summarize_paths
 from repro.util.tables import format_table
@@ -124,13 +127,11 @@ def phase_table(export: RunExport) -> str:
 
 
 # -------------------------------------------------------------- critical path
-def critical_path_table(export: RunExport) -> str:
+def critical_path_table(store: SpanStore) -> str:
     """Per-request-kind critical-path attribution to the §3.4 components
     (M = client<->replica hop, E = execution, m = replica<->replica hop).
-    Empty when the export carries no causal spans."""
-    if not export.spans:
-        return ""
-    paths = analyze_requests(export.span_store())
+    Empty when the store holds no finished request traces."""
+    paths = analyze_requests(store)
     if not paths:
         return ""
     rows: list[list[object]] = []
@@ -150,35 +151,35 @@ def critical_path_table(export: RunExport) -> str:
 
 
 # ------------------------------------------------------------------- profiling
-def hottest_handlers_table(export: RunExport, top: int = 10) -> str:
-    """Top-N frames by simulated CPU (host self-time as the tiebreak).
+FrameRow = tuple[tuple[str, ...], int, int, int]
 
-    Empty when the export carries no profiler records (``repro run
-    --profiling`` / ``ClusterSpec(profiling=True)`` produce them).
+
+def hottest_handlers_table(frames: Iterable[FrameRow], top: int = 10) -> str:
+    """Top-N ``(path, calls, sim_ns, host_ns)`` frames by simulated CPU.
+
+    Ties rank by calls, then path. Host time is shown but never ranks:
+    it differs between repeat runs, so ranking by it would reorder rows.
+    Empty when no frame was called (profile with ``repro run
+    --profiling`` / ``ClusterSpec(profiling=True)``).
     """
-    frames = [r for r in export.prof if r.get("calls")]
-    if not frames:
+    ranked = sorted((f for f in frames if f[1]), key=lambda f: (-f[2], -f[1], f[0]))
+    rows = [
+        [";".join(path), calls, f"{sim_ns / 1e6:.3f}", f"{host_ns / 1e6:.3f}"]
+        for path, calls, sim_ns, host_ns in ranked[:top]
+    ]
+    if not rows:
         return ""
-    frames.sort(
-        key=lambda r: (
-            -(r.get("sim_ns") or 0),
-            -(r.get("host_ns") or 0),
-            tuple(r.get("path") or ()),
-        )
-    )
-    rows: list[list[object]] = []
-    for record in frames[:top]:
-        rows.append(
-            [
-                ";".join(record.get("path") or ()),
-                record.get("calls", 0),
-                f"{(record.get('sim_ns') or 0) / 1e6:.3f}",
-                f"{(record.get('host_ns') or 0) / 1e6:.3f}",
-            ]
-        )
     return f"Hottest handlers (top {len(rows)}, exclusive)\n" + format_table(
         ["frame", "calls", "sim ms", "host ms"], rows
     )
+
+
+def _prof_rows(export: RunExport) -> list[FrameRow]:
+    return [
+        (tuple(r.get("path") or ()), r.get("calls") or 0,
+         r.get("sim_ns") or 0, r.get("host_ns") or 0)
+        for r in export.prof
+    ]
 
 
 # ------------------------------------------------------------------ comparison
@@ -217,8 +218,8 @@ def render_report(export: RunExport) -> str:
             message_table(export),
             per_replica_table(export),
             phase_table(export),
-            critical_path_table(export),
-            hottest_handlers_table(export),
+            critical_path_table(export.span_store()),
+            hottest_handlers_table(_prof_rows(export)),
         )
         if block
     ]

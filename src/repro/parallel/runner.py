@@ -320,9 +320,9 @@ def pmap(
 ) -> list[dict[str, Any]]:
     """Map one task over parameter dicts, preserving order.
 
-    Thin convenience over :func:`run_sweep` for callers (benchmarks, the
-    experiments report) that want plain results back, not records. Raises
-    if any run failed — partial grids are worse than loud failures there.
+    Thin convenience over :func:`run_sweep` for callers (the benchmarks)
+    that want plain results back, not records. Raises if any run failed —
+    partial grids are worse than loud failures there.
     """
     specs = [
         RunSpec(task=task, key=f"{task}/{index:06d}", params=params)

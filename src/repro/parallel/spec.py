@@ -20,18 +20,25 @@ from typing import Any
 
 from repro.errors import ConfigError
 
-#: Kinds swept by the RRT/throughput figures (mirrors ``repro.cli.KINDS``).
-_KINDS = ("original", "read", "write")
+#: Request kinds of the §4.1 RRT runs and the Figs. 5-8 throughput runs.
+KINDS = ("original", "read", "write")
 
-#: Table 1 cells: (transaction mode, requests per transaction).
-_TABLE1_CELLS = (
-    ("read_write", 3),
-    ("read_write", 5),
-    ("write_only", 3),
-    ("write_only", 5),
-    ("optimized", 3),
-    ("optimized", 5),
+#: Deployment profiles of the §4.1 RRT runs (and the calibration set).
+RRT_PROFILES = ("sysnet", "berkeley_princeton", "wan")
+
+#: Figs. 5-8: (figure key, profile, closed-loop client counts).
+FIGURES = (
+    ("fig5", "sysnet", (1, 2, 4, 8, 16)),
+    ("fig6", "sysnet", (8, 16, 32, 64, 128)),
+    ("fig7", "berkeley_princeton", (1, 2, 4, 8, 16)),
+    ("fig8", "wan", (1, 2, 4, 8, 16)),
 )
+
+#: §4.2 transaction modes, sizes (requests per transaction) and the
+#: Fig. 9 client counts; Table 1 has one cell per (mode, size).
+TXN_MODES = ("read_write", "write_only", "optimized")
+TXN_SIZES = (3, 5)
+TXN_CLIENTS = (1, 2, 4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -118,16 +125,16 @@ def chaos_grid(
 def figures_grid(quick: bool = False) -> list[RunSpec]:
     """Every cell of the paper's §4 evaluation as one independent run.
 
-    Mirrors the sections of ``repro experiments``: RRT per profile x kind,
-    throughput per figure x client count x kind, Table 1 transaction RRT,
-    and Fig. 9 transaction throughput. Seeds match the serial report
-    exactly (1/3/2/5 respectively), so a parallel sweep reproduces the same
-    numbers as the serial command.
+    ``repro experiments`` runs this grid and renders its report by spec
+    key: RRT per profile x kind, throughput per figure x client count x
+    kind, Table 1 transaction RRT, and Fig. 9 transaction throughput.
+    Seeds are fixed per section (1/3/2/5), so any worker count gives the
+    same numbers.
     """
     specs: list[RunSpec] = []
     rrt_samples = 60 if quick else 300
-    for profile in ("sysnet", "berkeley_princeton", "wan"):
-        for kind in _KINDS:
+    for profile in RRT_PROFILES:
+        for kind in KINDS:
             specs.append(
                 RunSpec(
                     task="rrt",
@@ -141,14 +148,9 @@ def figures_grid(quick: bool = False) -> list[RunSpec]:
                 )
             )
     total = 400 if quick else 1000
-    for figure, profile, clients in (
-        ("fig5", "sysnet", (1, 2, 4, 8, 16)),
-        ("fig6", "sysnet", (8, 16, 32, 64, 128)),
-        ("fig7", "berkeley_princeton", (1, 2, 4, 8, 16)),
-        ("fig8", "wan", (1, 2, 4, 8, 16)),
-    ):
+    for figure, profile, clients in FIGURES:
         for c in clients:
-            for kind in ("read", "write", "original"):
+            for kind in KINDS:
                 specs.append(
                     RunSpec(
                         task="throughput",
@@ -163,23 +165,24 @@ def figures_grid(quick: bool = False) -> list[RunSpec]:
                     )
                 )
     txn_samples = 60 if quick else 200
-    for mode, k in _TABLE1_CELLS:
-        specs.append(
-            RunSpec(
-                task="txn_rrt",
-                key=f"table1/{mode}/k={k}",
-                params={
-                    "mode": mode,
-                    "requests_per_txn": k,
-                    "samples": txn_samples,
-                    "seed": 2,
-                },
+    for mode in TXN_MODES:
+        for k in TXN_SIZES:
+            specs.append(
+                RunSpec(
+                    task="txn_rrt",
+                    key=f"table1/{mode}/k={k}",
+                    params={
+                        "mode": mode,
+                        "requests_per_txn": k,
+                        "samples": txn_samples,
+                        "seed": 2,
+                    },
+                )
             )
-        )
     total_txns = 200 if quick else 400
-    for k in (3, 5):
-        for c in (1, 2, 4, 8, 16):
-            for mode in ("read_write", "write_only", "optimized"):
+    for k in TXN_SIZES:
+        for c in TXN_CLIENTS:
+            for mode in TXN_MODES:
                 specs.append(
                     RunSpec(
                         task="txn_throughput",
@@ -203,8 +206,8 @@ def calibration_grid(samples: int = 400, seeds: int = 4) -> list[RunSpec]:
     give the across-seed spread that the calibration docs report.
     """
     specs = []
-    for profile in ("sysnet", "berkeley_princeton", "wan"):
-        for kind in _KINDS:
+    for profile in RRT_PROFILES:
+        for kind in KINDS:
             for seed in range(1, 1 + seeds):
                 specs.append(
                     RunSpec(
@@ -239,10 +242,3 @@ def selftest_grid(runs: int = 32, sleep: float = 0.05) -> list[RunSpec]:
         for index in range(runs)
     ]
 
-
-GRIDS = {
-    "chaos": chaos_grid,
-    "figures": figures_grid,
-    "calibration": calibration_grid,
-    "selftest": selftest_grid,
-}

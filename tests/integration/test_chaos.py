@@ -229,3 +229,32 @@ class TestScriptedScenarios:
         ]
         assert len(rids) == len(set(rids))
         assert len(log) == result.completed_requests
+
+
+class TestShrunkRegressions:
+    def test_stale_leader_stops_self_accepting_after_promising(self):
+        """A leader that promises a higher ballot must stop proposing.
+
+        Shrunk from ``repro chaos --protocol tpaxos --seed 30 --fsync group
+        --storage-faults --shrink`` with the preemption in
+        ``ReplicationGroup._on_prepare`` removed, that run chooses instance
+        13 twice with different values (the ``runtime`` tripwire) and the
+        replicas' states diverge. Under ``fsync="sync"`` the same script
+        passes even without the fix: group commit's wider window is what
+        exposes the bug.
+        """
+        events = (
+            NemesisEvent(0.055, "partition", groups=(("r0",), ("r1", "r2"))),
+            NemesisEvent(0.065, "leader", pids=("r2",), scope=("r1", "r2")),
+            NemesisEvent(0.837, "dup_burst", value=0.147, duration=0.3893),
+            NemesisEvent(0.8466, "crash", pids=("r1",)),
+            NemesisEvent(1.0453, "heal"),
+            NemesisEvent(1.5734, "loss_burst", value=0.169, duration=0.4266),
+            NemesisEvent(1.75, "recover", pids=("r1",)),
+        )
+        schedule = NemesisSchedule(seed=30, horizon=2.0, events=events)
+        options = ChaosOptions(protocol="tpaxos", fsync="group", storage_faults=True)
+        result = run_with_schedule(schedule, options)
+        assert result.ok, [str(v) for v in result.violations]
+        assert result.counters["fault.crash"] == 1
+        assert result.counters["fault.partition"] == 1

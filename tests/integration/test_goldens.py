@@ -1,15 +1,19 @@
 """Byte-level goldens for the CLI: outputs a refactor must not change.
 
 Each case runs one ``repro`` command in-process and hashes everything it
-printed and wrote: stdout, the exit status, and the ``--summary`` or
-``--export`` file. Two parts vary between repeat runs and are normalized
-before hashing: the output paths (they name a fresh temporary directory)
-and the profiler's ``"host_ns"`` values (host wall-clock time). Nothing
-else is masked, so a digest moves whenever a schedule, a counter, a wire
-byte count or a report line moves.
+printed and wrote: stdout, the exit status, and the ``--summary``,
+``--export`` or ``--out`` file. Three parts vary between repeat runs and
+are normalized before hashing: the output paths (they name a fresh
+temporary directory), the profiler's ``"host_ns"`` values, and the
+``host ms`` column of the hottest-handlers table (both host wall-clock
+time). Nothing else is masked, so a digest moves whenever a schedule, a
+counter, a wire byte count or a report line moves.
 
-The digests were computed on the code as it stood before every replica
-process became a ``GroupHost``, and that change left them untouched.
+The chaos and ``run`` digests were computed on the code as it stood
+before every replica process became a ``GroupHost``, and that change left
+them untouched. The ``trace`` and ``profile`` digests were computed once
+the hottest-handlers ranking stopped depending on host time, before
+``run``, ``trace`` and ``profile`` came to share one scenario builder.
 Regenerating them is a deliberate act — print fresh ones with:
 
     PYTHONPATH=src python tests/integration/test_goldens.py
@@ -62,6 +66,10 @@ CASES: dict[str, list[str]] = {
     "run-async-traced": [*_RUN, "--trace", "--tracing", "--profiling", "--export", "{out}"],
     "run-sync": [*_RUN, "--fsync", "sync", "--export", "{out}"],
     "run-groups2": [*_RUN, "--groups", "2", "--export", "{out}"],
+    "trace": ["trace", "--requests", "20", "--clients", "2", "--show", "2",
+              "--export", "{out}"],
+    "profile": ["profile", "--requests", "60", "--clients", "2",
+                "--execute-time", "0.001", "--top", "30", "--out", "{out}"],
 }
 
 #: sha256 of each case's normalized output (see the module docstring).
@@ -77,10 +85,30 @@ GOLDEN: dict[str, str] = {
     "chaos-xpaxos": "247d9a6b1f1deb7dead88aecf00e75e32a36282231780ac3d5d763db94cdb93d",
     "chaos-xpaxos-groups2": "b957721ec248bedc209e33edf6878beffd12153c6ce6781a369cbeb66ca96747",
     "chaos-xpaxos-storage": "f433400647ebecc132c815b904b171b15eb06e050b82269dc5d8f3011cb4a11b",
+    "profile": "6986812837297f660ee004d466a3c2ea78477b47463d56f34bbf5277039f2219",
     "run-async-traced": "aa2999028e59d4932f40d5ed5959c92fdef52a7ed0d1dd9f7c5dd47a0cc39637",
     "run-groups2": "f62f4b0598ba5250c22b3486daad014d34a4e842cc66eca4271b6f2a19d3f7e5",
     "run-sync": "34f99edc52ea96f5153cec2df01e0d8c91173134b8cbe1e5297ae41d32b5073d",
+    "trace": "f9fc75c9227cb7fa0316a3259b2ac2c243cc4c2c65de609961b27d73b13d699a",
 }
+
+
+def _mask_host_ms(text: str) -> str:
+    """Cut the trailing ``host ms`` column off the hottest-handlers table.
+
+    It is the table's last column, so every cell of it starts at the
+    header's ``host ms`` offset; the columns before it are deterministic.
+    """
+    lines = text.split("\n")
+    for index, line in enumerate(lines):
+        if not line.startswith("Hottest handlers"):
+            continue
+        cut = lines[index + 1].index("host ms")
+        for row in range(index + 1, len(lines)):
+            if not lines[row]:
+                break
+            lines[row] = lines[row][:cut].rstrip()
+    return "\n".join(lines)
 
 
 def case_digest(argv: list[str], workdir: Path) -> str:
@@ -89,7 +117,7 @@ def case_digest(argv: list[str], workdir: Path) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         status = main([arg.replace("{out}", str(out)) for arg in argv])
-    text = stdout.getvalue().replace(str(out), "<out>").encode()
+    text = _mask_host_ms(stdout.getvalue().replace(str(out), "<out>")).encode()
     h = hashlib.sha256()
     h.update(f"status={status}\n".encode())
     h.update(text)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
 
 from repro.cli import _md_table, build_experiments_report, main
+
+#: sha256 of ``repro experiments --quick`` minus its ``_Generated in`` line.
+QUICK_REPORT_SHA256 = (
+    "b8543951d24c5bca12e2bfefc3b15886e42859ebc2c416f48993d2d06a2ba886"
+)
 
 
 class TestMdTable:
@@ -98,6 +104,12 @@ class TestExperimentsReport:
             assert marker in report, f"missing {marker}"
         # Spot-check one paper number appears alongside a measured one.
         assert "0.181" in report and "106.7" in report
+        # Pin every number: only the host-time footer may change.
+        body = "\n".join(
+            line for line in report.splitlines()
+            if not line.startswith("_Generated in")
+        )
+        assert hashlib.sha256(body.encode()).hexdigest() == QUICK_REPORT_SHA256
 
 
 class TestChaosCommand:
@@ -160,6 +172,67 @@ class TestProfileCommand:
         ]) == 0
         capsys.readouterr()
         assert flame.read_text().strip()
+
+
+class TestSharedScenarioFlags:
+    """``run``, ``trace`` and ``profile`` take the same scenario flags."""
+
+    @staticmethod
+    def columns(out: str, table: str, width: int) -> list[list[str]]:
+        """The first ``width`` columns of each row of one printed table."""
+        lines = out.split(table, 1)[1].split("\n\n", 1)[0].splitlines()
+        return [line.split()[:width] for line in lines[3:]]
+
+    def test_trace_groups_and_sync_fsync(self, tmp_path, capsys):
+        export = tmp_path / "trace.jsonl"
+        assert main([
+            "trace", "--groups", "2", "--fsync", "sync", "--requests", "10",
+            "--show", "1", "--export", str(export),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "GroupEnvelope" in out  # a sharded cluster's wire format
+        assert "Critical-path attribution" in out
+        from repro.obs.timeline import load_export
+
+        counters = load_export(export).counters
+        assert any(name.startswith("proc.r0.g1.") for name in counters)
+
+    def test_profile_groups_and_sync_fsync(self, capsys):
+        assert main([
+            "profile", "--groups", "2", "--fsync", "sync",
+            "--requests", "60", "--clients", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        frames = [row[0] for row in self.columns(out, "Hottest handlers", 1)]
+        assert frames[0].endswith(";fsync")
+        assert any("GroupEnvelope" in frame for frame in frames)
+
+    def test_run_execute_time(self, capsys):
+        assert main(["run", "--requests", "20"]) == 0
+        bare = capsys.readouterr().out
+        assert main(["run", "--requests", "20", "--execute-time", "0.001"]) == 0
+        slow = capsys.readouterr().out
+        assert "RRT mean=0.341ms" in bare
+        assert "RRT mean=1.341ms" in slow
+
+    def test_trace_model_includes_execute_time(self, capsys):
+        def model(*extra: str) -> float:
+            assert main(["trace", "--show", "0", *extra]) == 0
+            out = capsys.readouterr().out
+            [row] = self.columns(out, "Latency-formula conformance", 9)
+            assert row[:6] == ["write", "2M", "+", "E", "+", "2m"]
+            return float(row[8])  # the model column
+
+        assert model("--execute-time", "0.001") - model() == pytest.approx(1.0)
+
+    def test_profile_ranking_repeats(self, capsys):
+        argv = ["profile", "--requests", "200", "--clients", "4", "--top", "40"]
+        tables = []
+        for _ in range(2):
+            assert main(argv) == 0
+            tables.append(self.columns(capsys.readouterr().out, "Hottest handlers", 3))
+        assert len(tables[0]) == 40
+        assert tables[0] == tables[1]
 
 
 class TestPerfCommand:

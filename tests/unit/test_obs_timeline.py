@@ -141,6 +141,22 @@ class TestReportRendering:
         assert "Messages sent per process" in report
         assert "Phase latencies" in report
 
+    def test_hottest_handlers_ignore_host_time_in_ranking(self):
+        # Equal sim-CPU and calls: host wall time differs between repeat
+        # runs, so it must not decide the order; the frame path does.
+        export = RunExport()
+        for path, host_ns in ((("r0", "b"), 1), (("r0", "a"), 9_000_000),
+                              (("r1", "a"), 5), (("r0", "c"), 0)):
+            export.prof.append({"record": "prof", "path": list(path),
+                                "calls": 3, "sim_ns": 0, "host_ns": host_ns})
+        export.prof.append({"record": "prof", "path": ["r2", "z"],
+                            "calls": 4, "sim_ns": 0, "host_ns": 0})
+        report = render_report(export)
+        frames = [line.split()[0] for line in report.splitlines()
+                  if line.startswith(("r0;", "r1;", "r2;"))]
+        assert frames == ["r2;z", "r0;a", "r0;b", "r0;c", "r1;a"]
+        assert "9.000" in report  # host ms is still shown
+
     def test_compare_table_deltas(self):
         a, b = self.make_export(), self.make_export()
         b.counters["msg.send.Reply"] = 15
